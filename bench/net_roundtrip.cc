@@ -6,7 +6,8 @@
 // the network distance is fake), then how fast a Replicator drains a
 // primary's journal backlog (records/sec from bootstrap to converged).
 // Emits JSON to stdout and a file (default BENCH_net.json, --out PATH)
-// so successive runs leave a perf trajectory in the repo.
+// so successive runs leave a perf trajectory in the repo; the record
+// carries the host's hardware thread count and the sample sizes.
 
 #include <algorithm>
 #include <chrono>
@@ -16,6 +17,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/client.h"
@@ -154,7 +156,16 @@ int main(int argc, char** argv) {
                      repl_secs;
   series.push_back(repl);
 
-  std::string json = "{\n  \"series\": [\n";
+  // hardware_concurrency() may return 0 ("unknown").
+  char header[160];
+  std::snprintf(header, sizeof(header),
+                "{\n  \"bench\": \"net_roundtrip\",\n"
+                "  \"hardware_threads\": %u,\n  \"iterations\": %d,\n"
+                "  \"repl_records\": %d,\n",
+                std::thread::hardware_concurrency(), kIterations,
+                kReplRecords);
+  std::string json = header;
+  json += "  \"series\": [\n";
   for (size_t i = 0; i < series.size(); ++i) {
     char row[256];
     std::snprintf(row, sizeof(row),

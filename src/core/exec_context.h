@@ -123,9 +123,14 @@ class QueryContext {
   void CountObjectEvaluated() {
     objects_evaluated_.fetch_add(1, std::memory_order_relaxed);
   }
-  /// One RMF fit performed (fallback or cold start).
+  /// One answer served by the RMF motion function (fallback or cold
+  /// start), whether its fit was computed or memoised.
   void CountMotionFit() {
     motion_fits_.fetch_add(1, std::memory_order_relaxed);
+  }
+  /// One RecursiveMotionFunction::Fit actually run (a memo miss).
+  void CountMotionFitComputed() {
+    motion_fits_computed_.fetch_add(1, std::memory_order_relaxed);
   }
   /// The batch executor switched away from a stalled traversal to run
   /// another query's (the `batch.interleaved` metric).
@@ -151,6 +156,7 @@ class QueryContext {
     uint64_t reports_rejected = 0;
     uint64_t objects_evaluated = 0;
     uint64_t motion_fits = 0;
+    uint64_t motion_fits_computed = 0;
     uint64_t batch_interleaved = 0;
     uint64_t tpt_nodes_visited = 0;
     uint64_t tpt_entries_tested = 0;
@@ -165,6 +171,8 @@ class QueryContext {
     t.reports_rejected = reports_rejected_.load(std::memory_order_relaxed);
     t.objects_evaluated = objects_evaluated_.load(std::memory_order_relaxed);
     t.motion_fits = motion_fits_.load(std::memory_order_relaxed);
+    t.motion_fits_computed =
+        motion_fits_computed_.load(std::memory_order_relaxed);
     t.batch_interleaved = batch_interleaved_.load(std::memory_order_relaxed);
     t.tpt_nodes_visited = tpt_nodes_visited_.load(std::memory_order_relaxed);
     t.tpt_entries_tested =
@@ -187,6 +195,7 @@ class QueryContext {
   std::atomic<uint64_t> reports_rejected_{0};
   std::atomic<uint64_t> objects_evaluated_{0};
   std::atomic<uint64_t> motion_fits_{0};
+  std::atomic<uint64_t> motion_fits_computed_{0};
   std::atomic<uint64_t> batch_interleaved_{0};
   std::atomic<uint64_t> tpt_nodes_visited_{0};
   std::atomic<uint64_t> tpt_entries_tested_{0};

@@ -9,6 +9,7 @@
 #include "core/exec_context.h"
 #include "mining/offline_miner.h"
 #include "mining/transaction.h"
+#include "motion/rmf_memo.h"
 
 namespace hpm {
 
@@ -139,25 +140,31 @@ std::vector<Prediction> HybridPredictor::RankAndTake(
                                  candidates->begin() + take);
 }
 
+Prediction MotionFunctionAnswer(const PredictiveQuery& query,
+                                const RmfOptions& rmf) {
+  RmfMemo local;
+  const RmfMemo& memo = query.motion != nullptr ? *query.motion : local;
+  bool computed = false;
+  const RecursiveMotionFunction& fitted =
+      memo.GetOrFit(query.recent_movements, rmf, &computed);
+  if (query.context != nullptr) {
+    query.context->CountMotionFit();
+    if (computed) query.context->CountMotionFitComputed();
+  }
+  Prediction prediction;
+  prediction.source = PredictionSource::kMotionFunction;
+  // A degenerate history (a single point) has no fitted model: the best
+  // available answer is then the last known location.
+  StatusOr<Point> p = fitted.Predict(query.query_time);
+  prediction.location =
+      p.ok() ? *p : query.recent_movements.back().location;
+  return prediction;
+}
+
 StatusOr<Prediction> HybridPredictor::MotionFunctionPredict(
     const PredictiveQuery& query) const {
   HPM_RETURN_IF_ERROR(ValidateQuery(query));
-  Prediction prediction;
-  prediction.source = PredictionSource::kMotionFunction;
-
-  if (query.context != nullptr) query.context->CountMotionFit();
-  RecursiveMotionFunction rmf(options_.rmf);
-  if (rmf.Fit(query.recent_movements).ok()) {
-    StatusOr<Point> p = rmf.Predict(query.query_time);
-    if (p.ok()) {
-      prediction.location = *p;
-      return prediction;
-    }
-  }
-  // Degenerate history (a single point): the best available answer is
-  // the last known location.
-  prediction.location = query.recent_movements.back().location;
-  return prediction;
+  return MotionFunctionAnswer(query, options_.rmf);
 }
 
 StatusOr<std::vector<Prediction>> HybridPredictor::DegradedPredict(
@@ -355,17 +362,23 @@ void HybridPredictor::PredictTask::FinishForwardSearch() {
 
 void HybridPredictor::PredictTask::EncodeBackwardRound() {
   PredictScratch& s = *scratch_;
-  const Timestamp lo_raw = query_->query_time - round_ * t_eps_;
-  const Timestamp hi_raw = query_->query_time + round_ * t_eps_;
-
-  // Map the raw-time interval to period offsets (it may wrap), encoding
-  // into the lane's key buffers.
-  const Timestamp lo_off = ((lo_raw % period_) + period_) % period_;
-  const Timestamp hi_off = ((hi_raw % period_) + period_) % period_;
-  if (hi_raw - lo_raw >= period_) {
+  // The round's raw-time interval is [tq - reach, tq + reach]. It is
+  // mapped to period offsets from tq's own offset, so no raw time is ever
+  // formed: tq + reach would overflow for a far-future tq. `reach` itself
+  // stays small, because EndBackwardRound stops widening at the first
+  // round whose interval spans a period.
+  const Timestamp reach = round_ * t_eps_;
+  if (2 * reach >= period_) {
     predictor_->key_tables_.EncodeQueryIntervalInto(premise_, 0, period_ - 1,
                                                     &s.query_key);
-  } else if (lo_off <= hi_off) {
+    return;
+  }
+  // The interval may wrap; encode into the lane's key buffers.
+  const Timestamp lo_off = ((tq_offset_ - reach) % period_ + period_) %
+                           period_;
+  const Timestamp hi_off = ((tq_offset_ + reach) % period_ + period_) %
+                           period_;
+  if (lo_off <= hi_off) {
     predictor_->key_tables_.EncodeQueryIntervalInto(premise_, lo_off, hi_off,
                                                     &s.query_key);
   } else {
@@ -445,8 +458,11 @@ bool HybridPredictor::PredictTask::EndBackwardRound(bool ran_search) {
   }
 
   // No qualified pattern anywhere before the interval hit the current
-  // time: fall back instead of widening further.
-  if (query_->query_time - (round_ + 1) * t_eps_ <= query_->current_time) {
+  // time: fall back instead of widening further. Once the interval spans
+  // a whole period, every later round would re-run this same full-period
+  // search, so the answer is already the fallback.
+  if (query_->query_time - (round_ + 1) * t_eps_ <= query_->current_time ||
+      2 * round_ * t_eps_ >= period_) {
     MotionFallback();
     return true;
   }

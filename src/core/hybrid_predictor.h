@@ -58,6 +58,15 @@ struct HybridPredictorOptions {
   RmfOptions rmf;
 };
 
+/// The motion-function answer to `query` (Algorithm 2 line 6, Algorithm 3
+/// line 11): the RMF fitted on query.recent_movements under `rmf` —
+/// through query.motion when set, else a function-local memo — evaluated
+/// at query.query_time, or the last known location when the window cannot
+/// be fitted. Counts the answer (and a computed fit) in query.context.
+/// The caller has validated the query.
+Prediction MotionFunctionAnswer(const PredictiveQuery& query,
+                                const RmfOptions& rmf);
+
 /// Summary of a training run, for reporting and experiments.
 struct TrainingSummary {
   size_t num_sub_trajectories = 0;

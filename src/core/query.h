@@ -15,6 +15,7 @@
 namespace hpm {
 
 class QueryContext;
+class RmfMemo;
 
 /// A spatio-temporal predictive query: "given these recent movements and
 /// the current time, where will the object be at query_time?"
@@ -45,6 +46,12 @@ struct PredictiveQuery {
   /// Which of `context`'s scratch lanes this call may use exclusively.
   /// Meaningful only when context != nullptr.
   int lane = 0;
+
+  /// Memo of the motion function fitted on exactly `recent_movements`
+  /// (the serving layer points this at the published view's memo), or
+  /// null to fit into a function-local memo. Only the fit is memoised —
+  /// answers are identical either way.
+  const RmfMemo* motion = nullptr;
 
   /// Prediction length t_q - t_c.
   Timestamp PredictionLength() const { return query_time - current_time; }

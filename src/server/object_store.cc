@@ -9,7 +9,6 @@
 #include "common/fault_injection.h"
 #include "common/retry.h"
 #include "common/stopwatch.h"
-#include "motion/recursive_motion.h"
 
 namespace hpm {
 
@@ -52,6 +51,7 @@ MovingObjectStore::MovingObjectStore(ObjectStoreOptions options)
   metrics_ = std::make_unique<StoreMetrics>(metrics_registry_.get());
   wal_disabled_ = std::make_unique<std::atomic<bool>>(false);
   generation_ = std::make_unique<std::atomic<uint64_t>>(0);
+  latest_now_ = std::make_unique<std::atomic<Timestamp>>(0);
   replaying_ = std::make_unique<std::atomic<bool>>(false);
   scheduler_mu_ = std::make_unique<std::mutex>();
   scheduler_ptr_ = std::make_unique<std::atomic<RebuildScheduler*>>(nullptr);
@@ -250,6 +250,20 @@ void MovingObjectStore::PublishView(ObjectRecord& record,
   const ObjectView* old =
       record.view.exchange(view, std::memory_order_release);
   if (old != nullptr) epoch_->Retire(old);
+  Timestamp latest = latest_now_->load(std::memory_order_relaxed);
+  while (view->now > latest &&
+         !latest_now_->compare_exchange_weak(latest, view->now,
+                                             std::memory_order_relaxed)) {
+  }
+}
+
+Status MovingObjectStore::CheckHorizon(Timestamp tq, Timestamp now) {
+  if (tq > now + kMaxPredictionHorizon) {
+    return Status::InvalidArgument(
+        "query time lies more than " +
+        std::to_string(kMaxPredictionHorizon) + " ticks in the future");
+  }
+  return Status::OK();
 }
 
 void MovingObjectStore::PublishTable(Shard& shard) {
@@ -786,6 +800,7 @@ MovingObjectStore::PreparePredict(const ObjectView& view, Timestamp tq,
   query->deadline = ctx != nullptr ? ctx->deadline() : Deadline::Infinite();
   query->context = ctx;
   query->lane = lane;
+  query->motion = &view.motion;
 
   if (view.predictor != nullptr) {
     if (ctx != nullptr && ctx->shed_to_rmf()) {
@@ -799,16 +814,8 @@ MovingObjectStore::PreparePredict(const ObjectView& view, Timestamp tq,
   }
   // Cold start: pure motion function until the first training threshold.
   // This is already the cheapest answer, so overload changes nothing.
-  if (ctx != nullptr) ctx->CountMotionFit();
-  RecursiveMotionFunction rmf(options_.predictor.rmf);
-  Prediction prediction;
-  prediction.source = PredictionSource::kMotionFunction;
-  prediction.location = query->recent_movements.back().location;
-  if (rmf.Fit(query->recent_movements).ok()) {
-    StatusOr<Point> p = rmf.Predict(tq);
-    if (p.ok()) prediction.location = *p;
-  }
-  return Result(std::vector<Prediction>{prediction});
+  return Result(std::vector<Prediction>{
+      MotionFunctionAnswer(*query, options_.predictor.rmf)});
 }
 
 StatusOr<std::vector<Prediction>> MovingObjectStore::PredictView(
@@ -840,6 +847,7 @@ StatusOr<std::vector<Prediction>> MovingObjectStore::PredictLocation(
   if (view == nullptr) {
     return Status::NotFound("unknown object id");
   }
+  HPM_RETURN_IF_ERROR(CheckHorizon(tq, view->now));
   return pipeline.RunFanOut(
       [&] { return PredictView(*view, tq, k, &ctx, /*lane=*/0); });
 }
@@ -895,6 +903,9 @@ MovingObjectStore::PredictLocationBatch(const std::vector<ObjectId>& ids,
               const ObjectView* view = views[item];
               if (view == nullptr) {
                 return Result(Status::NotFound("unknown object id"));
+              }
+              if (Status far = CheckHorizon(tq, view->now); !far.ok()) {
+                return Result(far);
               }
               if (std::optional<Result> finished = PreparePredict(
                       *view, tq, k, &ctx, static_cast<int>(lane), query)) {
@@ -992,6 +1003,8 @@ StatusOr<FleetQueryResult> MovingObjectStore::PredictiveRangeQuery(
   if (k_per_object < 1) {
     return Status::InvalidArgument("k_per_object must be >= 1");
   }
+  HPM_RETURN_IF_ERROR(
+      CheckHorizon(tq, latest_now_->load(std::memory_order_relaxed)));
   QueryPipeline pipeline(PipelineEnv(), StoreOp::kRange, deadline);
   HPM_RETURN_IF_ERROR(pipeline.Admit("range_query"));
   pipeline.Plan(shards_.size());
@@ -1016,6 +1029,8 @@ StatusOr<FleetQueryResult> MovingObjectStore::PredictiveNearestNeighbors(
   if (n < 1) {
     return Status::InvalidArgument("n must be >= 1");
   }
+  HPM_RETURN_IF_ERROR(
+      CheckHorizon(tq, latest_now_->load(std::memory_order_relaxed)));
   QueryPipeline pipeline(PipelineEnv(), StoreOp::kNearest, deadline);
   HPM_RETURN_IF_ERROR(pipeline.Admit("knn_query"));
   pipeline.Plan(shards_.size());
@@ -1041,7 +1056,7 @@ int MovingObjectStore::RegisterContinuousQuery(const BoundingBox& range,
                                                Timestamp horizon,
                                                int k_per_object) {
   HPM_CHECK(!range.IsEmpty());
-  HPM_CHECK(horizon >= 1);
+  HPM_CHECK(horizon >= 1 && horizon <= kMaxPredictionHorizon);
   HPM_CHECK(k_per_object >= 1);
   std::lock_guard<std::mutex> lock(continuous_->mutex);
   ContinuousQuery query;

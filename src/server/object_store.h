@@ -53,6 +53,7 @@
 #include "core/hybrid_predictor.h"
 #include "io/wal.h"
 #include "mining/incremental_miner.h"
+#include "motion/rmf_memo.h"
 #include "server/batch_executor.h"
 #include "server/query_pipeline.h"
 #include "server/rebuild_scheduler.h"
@@ -301,6 +302,14 @@ class MovingObjectStore {
   StatusOr<std::shared_ptr<const HybridPredictor>> GetPredictor(
       ObjectId id) const;
 
+  /// Farthest query time the store answers, in ticks past the object's
+  /// last report (past the newest report of any object, for range and
+  /// kNN queries). Farther `tq` are rejected with kInvalidArgument: the
+  /// motion function steps once per tick up to `tq`, so the bound caps
+  /// one answer's work. Far above every horizon the paper's experiments
+  /// use (a few periods).
+  static constexpr Timestamp kMaxPredictionHorizon = Timestamp{1} << 22;
+
   /// Predicts object `id`'s location at `tq` (absolute time on the
   /// object's clock, after its last report). Uses the object's trained
   /// predictor when available and a pure motion-function answer before
@@ -487,6 +496,11 @@ class MovingObjectStore {
     /// Shared handle pins the model generation for at least the view's
     /// lifetime; readers go through the raw pointer.
     std::shared_ptr<const HybridPredictor> predictor;
+    /// The motion function fitted on `recent`, filled by the first
+    /// reader that needs the fallback and freed with the view. Fitted
+    /// with predictor->options().rmf, or the store's options when
+    /// `predictor` is null — one source of options per view.
+    RmfMemo motion;
   };
 
   /// One tracked object. Stable-address (owned by unique_ptr in the
@@ -586,6 +600,10 @@ class MovingObjectStore {
   /// retires the previous table (write_mutex held). `record`'s view must
   /// already be published — readers must never see a viewless record.
   void PublishTable(Shard& shard);
+
+  /// kInvalidArgument when `tq` lies more than kMaxPredictionHorizon
+  /// ticks past `now`.
+  static Status CheckHorizon(Timestamp tq, Timestamp now);
 
   /// The published view for `id`, or null when the object is unknown.
   /// Caller must hold an epoch pin taken before the call.
@@ -721,6 +739,9 @@ class MovingObjectStore {
   /// Snapshot generation (see generation()); heap-allocated for
   /// movability, mutated by the const SaveToDirectory after commit.
   std::unique_ptr<std::atomic<uint64_t>> generation_;
+  /// Newest `now` of any published view: the reference time that bounds
+  /// range and kNN query times. Heap-allocated for movability.
+  std::unique_ptr<std::atomic<Timestamp>> latest_now_;
   /// Destroyed before everything above it, so draining its limbo (which
   /// bumps the epoch.* counters) still has a live metrics registry.
   std::unique_ptr<EpochManager> epoch_;

@@ -35,6 +35,7 @@ StoreMetrics::StoreMetrics(MetricsRegistry* registry) {
   reports_rejected = registry->GetCounter("store.reports_rejected");
   objects_evaluated = registry->GetCounter("store.objects_evaluated");
   motion_fits = registry->GetCounter("store.motion_fits");
+  motion_fits_computed = registry->GetCounter("store.motion_fits_computed");
   batch_interleaved = registry->GetCounter("batch.interleaved");
   epoch_pinned = registry->GetCounter("epoch.pinned");
   epoch_retired = registry->GetCounter("epoch.retired");
@@ -256,6 +257,7 @@ void QueryPipeline::Account() {
     m->reports_rejected->Increment(totals.reports_rejected);
     m->objects_evaluated->Increment(totals.objects_evaluated);
     m->motion_fits->Increment(totals.motion_fits);
+    m->motion_fits_computed->Increment(totals.motion_fits_computed);
     m->batch_interleaved->Increment(totals.batch_interleaved);
     m->tpt_nodes_visited->Increment(totals.tpt_nodes_visited);
     m->tpt_entries_tested->Increment(totals.tpt_entries_tested);
@@ -273,6 +275,7 @@ void QueryPipeline::Account() {
     trace.AddCounter("degraded_predictions", totals.degraded_predictions);
     trace.AddCounter("shards_skipped", totals.shards_skipped);
     trace.AddCounter("motion_fits", totals.motion_fits);
+    trace.AddCounter("motion_fits_computed", totals.motion_fits_computed);
     if (totals.batch_interleaved > 0) {
       trace.AddCounter("batch_interleaved", totals.batch_interleaved);
     }

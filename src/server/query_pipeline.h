@@ -75,6 +75,7 @@ struct StoreMetrics {
   Counter* reports_rejected;
   Counter* objects_evaluated;
   Counter* motion_fits;
+  Counter* motion_fits_computed;
   /// Batch-executor stall interleaves: times it switched away from a
   /// yielded traversal to advance another query's.
   Counter* batch_interleaved;

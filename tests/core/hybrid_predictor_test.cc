@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -357,6 +358,40 @@ TEST(HybridPredictorBqpTest, IntervalExpansionFindsSparseConsequences) {
   const double error_a = Distance(predictions->front().location, RouteA(18));
   const double error_b = Distance(predictions->front().location, RouteB(18));
   EXPECT_LT(std::min(error_a, error_b), 250.0);
+}
+
+TEST(HybridPredictorBqpTest, QueryTimeAtTheEndOfTimeDoesNotOverflow) {
+  // tq = INT64_MAX: the widening interval's upper edge tq + i·t_eps is
+  // past the end of the type. BQP works in period offsets, so the answer
+  // must equal the same query shifted back by whole periods.
+  auto predictor = HybridPredictor::Train(MakeHistory(40), SmallOptions());
+  ASSERT_TRUE(predictor.ok());
+  constexpr Timestamp kEnd = std::numeric_limits<Timestamp>::max();
+  const auto shifted_query = [](Timestamp query_time) {
+    PredictiveQuery q;
+    q.current_time = query_time - 10;  // Length 10 >= d = 8 -> BQP.
+    for (Timestamp t = q.current_time - 3; t <= q.current_time; ++t) {
+      q.recent_movements.push_back({t, RouteA(t % kPeriod)});
+    }
+    q.query_time = query_time;
+    q.k = 3;
+    return q;
+  };
+  const PredictiveQuery far = shifted_query(kEnd);
+  const PredictiveQuery near =
+      shifted_query(60 * kPeriod + kEnd % kPeriod);
+  auto far_answer = (*predictor)->BackwardQuery(far);
+  auto near_answer = (*predictor)->BackwardQuery(near);
+  ASSERT_TRUE(far_answer.ok()) << far_answer.status().ToString();
+  ASSERT_TRUE(near_answer.ok());
+  ASSERT_EQ(far_answer->size(), near_answer->size());
+  ASSERT_FALSE(far_answer->empty());
+  EXPECT_EQ(far_answer->front().source, PredictionSource::kPattern);
+  for (size_t i = 0; i < far_answer->size(); ++i) {
+    EXPECT_EQ((*far_answer)[i].location, (*near_answer)[i].location);
+    EXPECT_EQ((*far_answer)[i].score, (*near_answer)[i].score);
+    EXPECT_EQ((*far_answer)[i].pattern_id, (*near_answer)[i].pattern_id);
+  }
 }
 
 TEST(HybridPredictorCountersTest, TotalsAddUpSingleThreaded) {

@@ -3,6 +3,7 @@
 // handling, and (in fault builds) torn-frame retry.
 
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -117,6 +118,49 @@ TEST(ServerClientTest, RangeAndKnnTravelTheWire) {
   ASSERT_TRUE(stats.ok());
   EXPECT_FALSE(stats->json.empty());
   EXPECT_EQ(stats->json.front(), '{');
+}
+
+// A client-chosen query time far in the future is refused with a Status
+// reply, not computed: INT64_MAX once overflowed the backward query's
+// interval arithmetic and, with no deadline, pinned a handler thread.
+TEST(ServerClientTest, UnboundedQueryTimeGetsAStatusReply) {
+  MovingObjectStore store{ObjectStoreOptions{}};
+  StatusOr<std::unique_ptr<HpmServer>> server =
+      HpmServer::Start(&store, HpmServerOptions{});
+  ASSERT_TRUE(server.ok());
+  HpmClient client(ClientFor(**server));
+  for (int t = 0; t < 16; ++t) {
+    ASSERT_TRUE(store.ReportLocation(7, Point(1.0 * t, 2.0)).ok());
+  }
+  constexpr Timestamp kForever = std::numeric_limits<Timestamp>::max();
+
+  PredictRequest predict;
+  predict.id = 7;
+  predict.tq = kForever;  // deadline_us stays 0: no deadline.
+  StatusOr<PredictReply> refused = client.Predict(predict);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+
+  RangeRequest range;
+  range.max_x = 100.0;
+  range.max_y = 100.0;
+  range.tq = kForever;
+  StatusOr<FleetReply> range_refused = client.Range(range);
+  ASSERT_FALSE(range_refused.ok());
+  EXPECT_EQ(range_refused.status().code(), StatusCode::kInvalidArgument);
+
+  KnnRequest knn;
+  knn.tq = kForever;
+  knn.n = 1;
+  StatusOr<FleetReply> knn_refused = client.Knn(knn);
+  ASSERT_FALSE(knn_refused.ok());
+  EXPECT_EQ(knn_refused.status().code(), StatusCode::kInvalidArgument);
+
+  // The connection and the handlers keep serving.
+  predict.tq = 20;
+  StatusOr<PredictReply> served = client.Predict(predict);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->predictions.size(), 1u);
 }
 
 TEST(ServerClientTest, StatsMergesStoreAndServerCounters) {

@@ -17,6 +17,12 @@
 //     motion_fits and degraded_predictions; admitted/shed and latency
 //     samples land under predict_batch vs predict respectively, and no
 //     admission ticket leaks,
+//   * repeated queries of one view are exact — the same published view
+//     asked at several horizons, singly and batched, relaxed and under
+//     rung-1 pressure, answers bit-identically to a direct
+//     HybridPredictor::Predict / DegradedPredict on the object's recent
+//     window (trained objects) or to a fresh RecursiveMotionFunction fit
+//     (cold objects), although the view fits its motion function once,
 //   * (with -DHPM_ENABLE_FAULTS=ON) an `always`-armed pattern-lookup
 //     fault degrades batched and sequential answers identically
 //     (order-independent schedules only: the batch admits queries in
@@ -27,12 +33,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/fault_injection.h"
+#include "motion/recursive_motion.h"
 #include "proptest/generators.h"
 #include "proptest/proptest.h"
 #include "proptest/shrink.h"
@@ -58,6 +66,9 @@ struct BatchCase {
   /// and never-reported ids, in random order.
   std::vector<ObjectId> query_ids;
   Timestamp query_delta = 1;
+  /// Horizons (past the newest report) at which the same views are
+  /// queried again and again.
+  std::vector<Timestamp> repeat_deltas;
   size_t width = 8;
   size_t step_entries = 32;
 };
@@ -118,6 +129,10 @@ BatchCase GenBatchCase(Random& rng) {
     }
   }
   c.query_delta = static_cast<Timestamp>(1 + rng.Uniform(12));
+  const int num_repeats = static_cast<int>(2 + rng.Uniform(4));
+  for (int i = 0; i < num_repeats; ++i) {
+    c.repeat_deltas.push_back(static_cast<Timestamp>(1 + rng.Uniform(12)));
+  }
   c.width = 1 + rng.Uniform(8);
   c.step_entries = rng.Uniform(4) == 0 ? 0 : 1 + rng.Uniform(48);
   return c;
@@ -386,7 +401,113 @@ TEST(PropBatchExecTest, AccountingReconcilesBatchesAgainstSingles) {
   EXPECT_TRUE(result.ok) << result.message;
 }
 
-// --- P4: order-independent fault schedules degrade both paths alike ----
+// --- P4: repeated queries of one view match direct computation --------
+
+/// What a direct computation answers for `id` at `tq`: the object's own
+/// predictor run on its recent window (DegradedPredict when `shed`), or,
+/// for an untrained object, a fresh RMF fit — the last known location
+/// when the window cannot be fitted.
+StatusOr<std::vector<Prediction>> DirectAnswer(
+    const MovingObjectStore& store, const ObjectStoreOptions& options,
+    const Trajectory& history, ObjectId id, Timestamp tq, bool shed) {
+  PredictiveQuery query;
+  query.current_time = static_cast<Timestamp>(history.size()) - 1;
+  query.recent_movements =
+      history.RecentMovements(query.current_time, options.recent_window);
+  query.query_time = tq;
+  query.k = 2;
+  const auto predictor = store.GetPredictor(id);
+  if (predictor.ok()) {
+    return shed ? (*predictor)->DegradedPredict(query,
+                                                DegradedReason::kOverloaded)
+                : (*predictor)->Predict(query);
+  }
+  RecursiveMotionFunction fresh(options.predictor.rmf);
+  Prediction p;
+  p.location = query.recent_movements.back().location;
+  if (fresh.Fit(query.recent_movements).ok()) {
+    const StatusOr<Point> at = fresh.Predict(tq);
+    if (at.ok()) p.location = *at;
+  }
+  return std::vector<Prediction>{p};
+}
+
+std::string CheckRepeatedViewQueriesMatchDirect(const BatchCase& input) {
+  const ObjectStoreOptions options = BatchStoreOptions();
+  MovingObjectStore store(options);
+  const std::string failure = Replay(store, input.ops);
+  if (!failure.empty()) return failure;
+  std::map<ObjectId, Trajectory> histories;
+  for (const ReportOp& op : input.ops) histories[op.id].Append(op.location);
+
+  std::vector<ObjectId> known;
+  for (const ObjectId id : input.query_ids) {
+    const auto it = histories.find(id);
+    if (it != histories.end() && it->second.size() >= 2 &&
+        std::find(known.begin(), known.end(), id) == known.end()) {
+      known.push_back(id);
+    }
+  }
+  if (known.empty()) return "";
+
+  // No report runs between the queries, so every query below meets the
+  // same published view of its object.
+  for (const bool shed : {false, true}) {
+    for (const Timestamp delta : input.repeat_deltas) {
+      const Timestamp tq = QueryTime(store, delta);
+      const Deadline deadline =
+          shed ? Deadline::AfterMillis(50) : Deadline::Infinite();
+      const auto batch = store.PredictLocationBatch(known, tq, 2, deadline);
+      for (size_t i = 0; i < known.size(); ++i) {
+        const ObjectId id = known[i];
+        const auto want =
+            DirectAnswer(store, options, histories[id], id, tq, shed);
+        const auto single = store.PredictLocation(id, tq, 2, deadline);
+        for (const auto* got : {&single, &batch[i]}) {
+          const std::string path = got == &single ? "single" : "batch";
+          if (got->ok() != want.ok()) {
+            return path + " object " + std::to_string(id) + ": status " +
+                   got->status().ToString() + " != direct " +
+                   want.status().ToString();
+          }
+          if (!got->ok()) continue;
+          const std::string diff = DiffPredictions(**got, *want);
+          if (!diff.empty()) {
+            return path + " object " + std::to_string(id) + " at tq " +
+                   std::to_string(tq) + (shed ? " (shed)" : "") + ": " +
+                   diff;
+          }
+        }
+      }
+    }
+  }
+
+  // One fit per view: at most one per object from each of the batch's
+  // two concurrent chunks, however many fallbacks were answered.
+  const MetricsSnapshot snap = store.metrics_snapshot();
+  const uint64_t answered = snap.counter("store.motion_fits");
+  const uint64_t computed = snap.counter("store.motion_fits_computed");
+  if (computed > answered || computed > 2 * known.size() ||
+      (answered > 0) != (computed > 0)) {
+    return "motion fits: " + std::to_string(computed) + " computed for " +
+           std::to_string(answered) + " fallback answers over " +
+           std::to_string(known.size()) + " views";
+  }
+  return "";
+}
+
+TEST(PropBatchExecTest, RepeatedViewQueriesMatchDirectComputation) {
+  Property<BatchCase> property("repeated-view-queries", GenBatchCase,
+                               CheckRepeatedViewQueriesMatchDirect);
+  property.WithShrinker(ShrinkBatchCase);
+  RunnerOptions options;
+  options.num_cases = 10;
+  options.max_shrink_checks = 30;
+  const proptest::RunResult result = property.Run(options);
+  EXPECT_TRUE(result.ok) << result.message;
+}
+
+// --- P5: order-independent fault schedules degrade both paths alike ----
 
 #ifdef HPM_ENABLE_FAULTS
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "motion/recursive_motion.h"
 #include "proptest/proptest.h"
 #include "server/object_store.h"
 
@@ -314,6 +315,73 @@ TEST(ConcurrentStoreTest, ContinuousEventsUnderConcurrentReporters) {
   // report).
   EXPECT_GT(drained, 0u);
   EXPECT_LE(drained, static_cast<size_t>(kWriters) * 3 * kPeriod);
+}
+
+// K readers race the first motion-function fallback on each fresh view
+// of a cold (untrained) object. The view's memo publishes one fitted
+// model: every reader answers bit-identically to a fresh fit, between 1
+// and K fits are computed per view, and every answer is counted as a
+// fallback. A report between rounds publishes a new view with an empty
+// memo.
+TEST(ConcurrentStoreTest, RacingFallbacksOnAFreshViewShareOneFit) {
+  constexpr int kRacers = 6;
+  constexpr int kRounds = 8;
+  constexpr ObjectId kCold = 3;
+  const ObjectStoreOptions options = Options();
+  MovingObjectStore store(options);
+  Timestamp reported = 0;
+  for (; reported < 4; ++reported) {
+    ASSERT_TRUE(store.ReportLocation(kCold, Route(kCold, reported)).ok());
+  }
+
+  for (int round = 0; round < kRounds; ++round) {
+    const Timestamp now = reported - 1;
+    const Timestamp tq = now + 1 + round;
+    std::vector<TimedPoint> recent;
+    for (Timestamp t = std::max<Timestamp>(0, now - options.recent_window + 1);
+         t <= now; ++t) {
+      recent.push_back({t, Route(kCold, t)});
+    }
+    RecursiveMotionFunction fresh(options.predictor.rmf);
+    ASSERT_TRUE(fresh.Fit(recent).ok());
+    const Point want = *fresh.Predict(tq);
+
+    const MetricsSnapshot before = store.metrics_snapshot();
+    std::atomic<int> ready{0};
+    std::atomic<int> failures{0};
+    std::vector<Point> answers(kRacers);
+    std::vector<std::thread> racers;
+    for (int r = 0; r < kRacers; ++r) {
+      racers.emplace_back([&, r] {
+        ready.fetch_add(1);
+        while (ready.load() < kRacers) {
+        }
+        const auto got = store.PredictLocation(kCold, tq);
+        if (!got.ok() || got->size() != 1) {
+          failures.fetch_add(1);
+          return;
+        }
+        answers[static_cast<size_t>(r)] = got->front().location;
+      });
+    }
+    for (std::thread& t : racers) t.join();
+    ASSERT_EQ(failures.load(), 0);
+    for (const Point& answer : answers) {
+      EXPECT_EQ(answer.x, want.x);
+      EXPECT_EQ(answer.y, want.y);
+    }
+    const MetricsSnapshot after = store.metrics_snapshot();
+    const uint64_t answered = after.counter("store.motion_fits") -
+                              before.counter("store.motion_fits");
+    const uint64_t computed = after.counter("store.motion_fits_computed") -
+                              before.counter("store.motion_fits_computed");
+    EXPECT_EQ(answered, static_cast<uint64_t>(kRacers));
+    EXPECT_GE(computed, 1u);
+    EXPECT_LE(computed, static_cast<uint64_t>(kRacers));
+
+    ASSERT_TRUE(store.ReportLocation(kCold, Route(kCold, reported)).ok());
+    ++reported;
+  }
 }
 
 }  // namespace

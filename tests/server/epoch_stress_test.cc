@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -247,6 +248,112 @@ TEST(EpochStressTest, AggressiveFreeChurnOnAHotObject) {
   EXPECT_LE(freed, retired);
   // Everything except the final report's own retirements must be free.
   EXPECT_GE(freed + 2, static_cast<uint64_t>(kReports) - 1);
+}
+
+// Fallback reads during view swaps: every report publishes a view with
+// an empty motion-function memo and retires the previous one, while
+// readers fill the memos (racing each other for the first fit) through
+// cold-start answers, rung-1 shed answers (any finite deadline sheds
+// under an hour of required headroom) and range queries. Under ASan a
+// memo freed while a pinned reader still evaluates it is a
+// use-after-free, and a losing or retired memo that is never freed is a
+// leak; under TSan an unsynchronised memo publish is a race.
+TEST(EpochStressTest, FallbackReadsSurviveViewSwaps) {
+  const uint64_t seed = proptest::SeedForTest(5309);
+  SCOPED_TRACE(proptest::ReplayLine(seed));
+  ObjectStoreOptions options = ChurnOptions();
+  options.num_shards = 1;
+  options.query_threads = 1;
+  options.degrade_min_headroom =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::hours(1));
+  MovingObjectStore store(options);
+  constexpr ObjectId kHot = 42;   // Trains after two periods.
+  constexpr ObjectId kCold = 43;  // Reports too rarely to ever train.
+  constexpr Timestamp kReports = 8 * kPeriod;
+
+  // Both objects are queryable (cold-start answers) before readers start.
+  Timestamp hot_t = 0;
+  Timestamp cold_t = 0;
+  for (; hot_t < 2; ++hot_t, ++cold_t) {
+    ASSERT_TRUE(
+        store.ReportLocation(kHot, NoisySample(kHot, hot_t, seed)).ok());
+    ASSERT_TRUE(
+        store.ReportLocation(kCold, NoisySample(kCold, cold_t, seed)).ok());
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> reader_failures{0};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&store, &stop, &reader_failures, &reads, r] {
+      const BoundingBox everywhere{{-1e7, -1e7}, {1e7, 1e7}};
+      int rounds = 0;
+      while (!stop.load()) {
+        ++rounds;
+        reads.fetch_add(1);
+        const ObjectId id = (r + rounds) % 2 == 0 ? kHot : kCold;
+        const Timestamp now =
+            static_cast<Timestamp>(store.HistoryLength(id)) - 1;
+        const Timestamp tq = now + 1 + rounds % 5;
+        const Deadline deadline = rounds % 3 == 0
+                                      ? Deadline::Infinite()
+                                      : Deadline::AfterMillis(1000);
+        const auto got = store.PredictLocation(id, tq, 1, deadline);
+        // The view may have moved past `tq` since HistoryLength.
+        if (!got.ok() && got.status().code() != StatusCode::kNotFound &&
+            got.status().code() != StatusCode::kFailedPrecondition &&
+            got.status().code() != StatusCode::kInvalidArgument) {
+          reader_failures.fetch_add(1);
+          return;
+        }
+        if (rounds % 4 == 0 &&
+            !store.PredictiveRangeQuery(everywhere, tq, 1, deadline).ok()) {
+          reader_failures.fetch_add(1);
+          return;
+        }
+      }
+    });
+  }
+
+  // Every few reports the writer waits for the readers to make progress,
+  // so reads really interleave with the swaps however the threads are
+  // scheduled.
+  const auto await_reads = [&reads, &reader_failures](int from) {
+    while (reads.load() < from + kReaders && reader_failures.load() == 0) {
+      std::this_thread::yield();
+    }
+  };
+  await_reads(0);
+  for (; hot_t < kReports; ++hot_t) {
+    ASSERT_TRUE(
+        store.ReportLocation(kHot, NoisySample(kHot, hot_t, seed)).ok());
+    if (cold_t < kPeriod + 4) {  // Short of the two-period threshold.
+      ASSERT_TRUE(
+          store.ReportLocation(kCold, NoisySample(kCold, cold_t, seed)).ok());
+      ++cold_t;
+    }
+    if (hot_t % 4 == 0) await_reads(reads.load());
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(reader_failures.load(), 0);
+  ASSERT_TRUE(store.GetPredictor(kHot).ok());
+  EXPECT_FALSE(store.GetPredictor(kCold).ok());
+
+  ASSERT_TRUE(
+      store.ReportLocation(kHot, NoisySample(kHot, kReports, seed)).ok());
+  const MetricsSnapshot snap = store.metrics_snapshot();
+  EXPECT_GT(snap.counter("store.motion_fits_computed"), 0u);
+  EXPECT_LE(snap.counter("store.motion_fits_computed"),
+            snap.counter("store.motion_fits"));
+  const uint64_t retired = snap.counter("epoch.retired");
+  const uint64_t freed = snap.counter("epoch.freed");
+  EXPECT_LE(freed, retired);
+  // With no reader pinned, the last report's reclaim freed every view
+  // (and so every memo) retired before it.
+  EXPECT_GE(freed + 2, retired);
 }
 
 }  // namespace

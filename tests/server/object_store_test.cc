@@ -107,6 +107,33 @@ TEST(ObjectStoreTest, QueryTimeMustBeFuture) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(ObjectStoreTest, QueryTimeBeyondTheHorizonIsRejected) {
+  MovingObjectStore store(Options());
+  Random rng(4);
+  ASSERT_TRUE(store.ReportTrajectory(0, OnePeriod(0, &rng)).ok());
+  const Timestamp now = kPeriod - 1;
+  const Timestamp limit = now + MovingObjectStore::kMaxPredictionHorizon;
+  const BoundingBox everywhere({-1e7, -1e7}, {1e7, 1e7});
+
+  EXPECT_EQ(store.PredictLocation(0, limit + 1).status().code(),
+            StatusCode::kInvalidArgument);
+  const auto batch = store.PredictLocationBatch({0}, limit + 1);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.PredictiveRangeQuery(everywhere, limit + 1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.PredictiveNearestNeighbors({0.0, 0.0}, limit + 1, 1)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  // The horizon itself is still answered.
+  EXPECT_TRUE(store.PredictLocation(0, limit).ok());
+  auto hits = store.PredictiveRangeQuery(everywhere, limit);
+  ASSERT_TRUE(hits.ok());
+  EXPECT_EQ(hits->hits.size(), 1u);
+}
+
 TEST(ObjectStoreTest, IncrementalBatchesConsumeHistory) {
   MovingObjectStore store(Options());
   Random rng(5);
@@ -544,6 +571,9 @@ TEST(ObjectStoreDeathTest, ContinuousQueryValidationAborts) {
                "HPM_CHECK");
   const BoundingBox box({0, 0}, {1, 1});
   EXPECT_DEATH(store.RegisterContinuousQuery(box, 0), "HPM_CHECK");
+  EXPECT_DEATH(store.RegisterContinuousQuery(
+                   box, MovingObjectStore::kMaxPredictionHorizon + 1),
+               "HPM_CHECK");
   EXPECT_DEATH(store.RegisterContinuousQuery(box, 5, 0), "HPM_CHECK");
 }
 

@@ -248,6 +248,15 @@ TEST(OverloadTest, SaturatingLoadIsShedOrDegradedNeverDropped) {
 
   constexpr int kThreads = 8;  // Well beyond max_in_flight.
   constexpr int kPerThread = 60;
+  // Whether three requests overlap depends on how fast one is served and
+  // on how the host schedules the clients, so a fixed request count can
+  // finish without ever exceeding the gauge. The clients therefore start
+  // together and keep offering load past kPerThread until the gauge has
+  // shed once, for at most kSheddingBudget of wall time.
+  constexpr auto kSheddingBudget = std::chrono::seconds(10);
+  const auto give_up = std::chrono::steady_clock::now() + kSheddingBudget;
+  std::atomic<int> ready{0};
+  std::atomic<int> issued{0};
   std::atomic<int> full{0};
   std::atomic<int> degraded{0};
   std::atomic<int> shed{0};
@@ -259,7 +268,13 @@ TEST(OverloadTest, SaturatingLoadIsShedOrDegradedNeverDropped) {
   clients.reserve(kThreads);
   for (int c = 0; c < kThreads; ++c) {
     clients.emplace_back([&, c] {
-      for (int i = 0; i < kPerThread; ++i) {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0;
+           i < kPerThread || (shed.load() == 0 &&
+                              std::chrono::steady_clock::now() < give_up);
+           ++i) {
+        issued.fetch_add(1);
         const size_t depth = store.PoolQueueDepth();
         size_t seen = max_queue_depth.load();
         while (depth > seen &&
@@ -302,8 +317,8 @@ TEST(OverloadTest, SaturatingLoadIsShedOrDegradedNeverDropped) {
   // The contract: nothing outside {full, degraded(Overloaded),
   // kUnavailable+hint} was ever observed.
   EXPECT_EQ(other.load(), 0);
-  EXPECT_EQ(full.load() + degraded.load() + shed.load(),
-            kThreads * kPerThread);
+  EXPECT_GE(issued.load(), kThreads * kPerThread);
+  EXPECT_EQ(full.load() + degraded.load() + shed.load(), issued.load());
   // 8 clients against max_in_flight=3 must actually shed.
   EXPECT_GT(shed.load(), 0);
   EXPECT_GT(full.load() + degraded.load(), 0);

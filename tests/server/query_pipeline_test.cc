@@ -165,7 +165,29 @@ TEST(QueryPipelineTest, MotionFallbackAndEvaluationCountersFlow) {
   // Untrained object: one evaluation, answered by one RMF fit.
   EXPECT_EQ(snap.counter("store.objects_evaluated"), 1u);
   EXPECT_EQ(snap.counter("store.motion_fits"), 1u);
+  EXPECT_EQ(snap.counter("store.motion_fits_computed"), 1u);
   EXPECT_EQ(snap.counter("store.degraded_predictions"), 0u);
+}
+
+TEST(QueryPipelineTest, MotionFitIsComputedOncePerPublishedView) {
+  MovingObjectStore store(BaseOptions());
+  ASSERT_TRUE(store.ReportLocation(1, {0.0, 0.0}).ok());
+  ASSERT_TRUE(store.ReportLocation(1, {1.0, 1.0}).ok());
+
+  // Two fallback answers from one view: the second reuses the first's
+  // fit, whatever its horizon.
+  ASSERT_TRUE(store.PredictLocation(1, 5).ok());
+  ASSERT_TRUE(store.PredictLocation(1, 9).ok());
+  MetricsSnapshot snap = store.metrics_snapshot();
+  EXPECT_EQ(snap.counter("store.motion_fits"), 2u);
+  EXPECT_EQ(snap.counter("store.motion_fits_computed"), 1u);
+
+  // A report publishes a new view, whose first fallback fits afresh.
+  ASSERT_TRUE(store.ReportLocation(1, {2.0, 2.0}).ok());
+  ASSERT_TRUE(store.PredictLocation(1, 9).ok());
+  snap = store.metrics_snapshot();
+  EXPECT_EQ(snap.counter("store.motion_fits"), 3u);
+  EXPECT_EQ(snap.counter("store.motion_fits_computed"), 2u);
 }
 
 TEST(QueryPipelineTest, RejectedReportCountsWithoutConsumingAdmission) {
@@ -280,13 +302,19 @@ TEST(QueryPipelineTest, TraceSinkReceivesStageSpansPerQuery) {
   EXPECT_TRUE(HasSpan(*predict, "fanout", 0));
   // Per-query counters ride along with the trace.
   bool found_evaluated = false;
+  bool found_computed = false;
   for (const auto& [name, value] : predict->counters) {
     if (name == "objects_evaluated") {
       found_evaluated = true;
       EXPECT_EQ(value, 1u);
     }
+    if (name == "motion_fits_computed") {
+      found_computed = true;
+      EXPECT_EQ(value, 1u);  // The predict met the view's empty memo.
+    }
   }
   EXPECT_TRUE(found_evaluated);
+  EXPECT_TRUE(found_computed);
 }
 
 TEST(QueryPipelineTest, NoSinkMeansNoTraceOverheadOrCallbacks) {
