@@ -64,8 +64,9 @@ int main() {
     table.Print(stdout);
   }
   std::printf(
-      "\nIncremental incorporation reuses the existing regions and index\n"
-      "(no DBSCAN pass, no TPT rebuild), trading a slightly staler region\n"
-      "universe for a large constant-factor saving per batch.\n");
+      "\nIncremental incorporation reuses the existing regions (no DBSCAN\n"
+      "pass) but still bulk loads and freezes the whole TPT from the grown\n"
+      "pattern set, so it saves only the discovery share of a retrain,\n"
+      "at the price of a slightly staler region universe.\n");
   return 0;
 }

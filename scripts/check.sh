@@ -60,6 +60,14 @@ fi
 echo "== plain build: tier1 + prop =="
 run_matrix build
 
+# hpmbench/ compiles against src/ as its own CMake project; build it and
+# run its helper self-test so a library API change cannot break the
+# benchmark unnoticed. No workload runs here.
+echo "== plain build: hpmbench + self-test =="
+cmake -S hpmbench -B build-hpmbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-hpmbench -j "$JOBS" --target hpmbench hpmbench_selftest
+./build-hpmbench/hpmbench_selftest
+
 echo "== AddressSanitizer: tier1 + prop =="
 run_matrix build-asan -DHPM_SANITIZE=address
 

@@ -4,7 +4,7 @@ namespace hpm {
 
 const char* const kKnownFaultSites[] = {
     "core/pattern_lookup",  // ForwardQuery/BackwardQuery pattern-side answer
-    "core/train",           // Train / WithNewHistory model (re)build
+    "core/train",           // Train / IncorporateNewHistory model build
     "io/atomic_write",      // after temp file written, before atomic rename
     "io/atomic_write_data",  // mid-fwrite of the temp file (torn prefix)
     "io/atomic_write_sync",  // fsync of the temp file (EIO/ENOSPC model)

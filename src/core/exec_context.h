@@ -103,7 +103,7 @@ class QueryContext {
   // --- concurrently.
 
   /// A prediction served degraded because of load shedding (one count per
-  /// prediction, matching OverloadStats::degraded_overload semantics).
+  /// prediction; flushed into store.degraded_predictions).
   void CountDegradedPrediction(uint64_t n = 1) {
     degraded_predictions_.fetch_add(n, std::memory_order_relaxed);
   }

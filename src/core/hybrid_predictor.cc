@@ -84,32 +84,42 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::Train(
   FrequentRegionSet& region_set = offline->discovery.region_set;
   AprioriResult& mined = offline->mined;
 
-  // Key tables and TPT bulk load.
+  TrainingSummary summary;
+  summary.num_sub_trajectories = offline->transactions.size();
+  summary.mining_stats = mined.stats;
   KeyTables tables = KeyTables::Build(region_set, mined.patterns);
+  StatusOr<std::unique_ptr<HybridPredictor>> predictor =
+      Assemble(options, std::move(region_set), std::move(mined.patterns),
+               std::move(tables), summary);
+  if (!predictor.ok()) return predictor.status();
+  (*predictor)->summary_.train_seconds = timer.ElapsedSeconds();
+  return predictor;
+}
+
+StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::Assemble(
+    const HybridPredictorOptions& options, FrequentRegionSet regions,
+    std::vector<TrajectoryPattern> patterns, KeyTables tables,
+    TrainingSummary summary) {
   std::vector<IndexedPattern> indexed;
-  indexed.reserve(mined.patterns.size());
-  for (size_t i = 0; i < mined.patterns.size(); ++i) {
-    const TrajectoryPattern& p = mined.patterns[i];
-    indexed.push_back({tables.EncodePattern(p, region_set), p.confidence,
+  indexed.reserve(patterns.size());
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    const TrajectoryPattern& p = patterns[i];
+    indexed.push_back({tables.EncodePattern(p, regions), p.confidence,
                        p.consequence, static_cast<int>(i)});
   }
   StatusOr<TptTree> tpt = TptTree::BulkLoad(std::move(indexed), options.tpt);
   if (!tpt.ok()) return tpt.status();
-  const size_t builder_bytes = tpt->MemoryBytes();
+  summary.tpt_memory_bytes = tpt->MemoryBytes();
   FrozenTpt frozen = FrozenTpt::Freeze(*tpt);
 
-  auto predictor = std::unique_ptr<HybridPredictor>(new HybridPredictor(
-      options, std::move(region_set), std::move(mined.patterns),
-      std::move(tables), std::move(frozen)));
-  predictor->summary_.num_sub_trajectories = offline->transactions.size();
-  predictor->summary_.num_frequent_regions =
-      predictor->regions_.NumRegions();
-  predictor->summary_.num_patterns = predictor->patterns_.size();
-  predictor->summary_.mining_stats = mined.stats;
-  predictor->summary_.tpt_memory_bytes = builder_bytes;
-  predictor->summary_.tpt_frozen_bytes = predictor->tpt_.MemoryBytes();
-  predictor->summary_.tpt_height = predictor->tpt_.Height();
-  predictor->summary_.train_seconds = timer.ElapsedSeconds();
+  auto predictor = std::unique_ptr<HybridPredictor>(
+      new HybridPredictor(options, std::move(regions), std::move(patterns),
+                          std::move(tables), std::move(frozen)));
+  summary.num_frequent_regions = predictor->regions_.NumRegions();
+  summary.num_patterns = predictor->patterns_.size();
+  summary.tpt_frozen_bytes = predictor->tpt_.MemoryBytes();
+  summary.tpt_height = predictor->tpt_.Height();
+  predictor->summary_ = summary;
   return predictor;
 }
 
@@ -479,8 +489,9 @@ StatusOr<std::vector<Prediction>> HybridPredictor::BackwardQuery(
   return RunToCompletion(*this, query, PredictTask::Route::kBackward);
 }
 
-StatusOr<std::vector<TrajectoryPattern>> HybridPredictor::MineFreshPatterns(
-    const Trajectory& new_history, bool* new_consequence_offset) const {
+StatusOr<size_t> HybridPredictor::IncorporateNewHistory(
+    const Trajectory& new_history) {
+  HPM_INJECT_FAULT("core/train");
   const Timestamp period = options_.regions.period;
   StatusOr<std::vector<Trajectory>> subs =
       new_history.DecomposePeriodic(period);
@@ -502,74 +513,37 @@ StatusOr<std::vector<TrajectoryPattern>> HybridPredictor::MineFreshPatterns(
       MineTrajectoryPatterns(transactions, regions_, options_.mining);
   if (!mined.ok()) return mined.status();
 
-  // Dedupe against the already-indexed rules.
+  // Append the rules not yet indexed. A rule concluding at a time offset
+  // the consequence-key table has never seen grows the key universe.
   std::set<std::pair<std::vector<int>, int>> existing;
   for (const TrajectoryPattern& p : patterns_) {
     existing.emplace(p.premise, p.consequence);
   }
-  std::vector<TrajectoryPattern> fresh;
-  *new_consequence_offset = false;
+  std::vector<TrajectoryPattern> combined = patterns_;
+  bool new_consequence_offset = false;
   for (TrajectoryPattern& p : mined->patterns) {
     if (existing.count({p.premise, p.consequence})) continue;
     if (key_tables_.TimeIdForOffset(
             regions_.Region(p.consequence).offset) < 0) {
-      *new_consequence_offset = true;
+      new_consequence_offset = true;
     }
-    fresh.push_back(std::move(p));
+    combined.push_back(std::move(p));
   }
-  return fresh;
-}
+  const size_t added = combined.size() - patterns_.size();
 
-StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::WithNewHistory(
-    const Trajectory& new_history) const {
-  HPM_INJECT_FAULT("core/train");
-  bool new_consequence_offset = false;
-  StatusOr<std::vector<TrajectoryPattern>> fresh =
-      MineFreshPatterns(new_history, &new_consequence_offset);
-  if (!fresh.ok()) return fresh.status();
-
-  std::vector<TrajectoryPattern> combined = patterns_;
-  combined.reserve(combined.size() + fresh->size());
-  for (TrajectoryPattern& p : *fresh) combined.push_back(std::move(p));
-
-  // When a new consequence offset appears the key universe grows, so the
-  // tables are rebuilt (keys change length). Either way the TPT is bulk
-  // loaded from scratch: bulk loading is sequential insertion, so the
-  // result is the exact tree the in-place insertion path would produce.
+  // When the key universe grows the tables are rebuilt (keys change
+  // length). Either way the TPT is bulk loaded from scratch: bulk loading
+  // is sequential insertion, so the result is the exact tree the in-place
+  // insertion path would produce. *this changes only once the new index
+  // is built, so a failure leaves the model as it was.
   KeyTables tables = new_consequence_offset
                          ? KeyTables::Build(regions_, combined)
                          : key_tables_;
-  std::vector<IndexedPattern> indexed;
-  indexed.reserve(combined.size());
-  for (size_t i = 0; i < combined.size(); ++i) {
-    indexed.push_back({tables.EncodePattern(combined[i], regions_),
-                       combined[i].confidence, combined[i].consequence,
-                       static_cast<int>(i)});
-  }
-  StatusOr<TptTree> tpt = TptTree::BulkLoad(std::move(indexed), options_.tpt);
-  if (!tpt.ok()) return tpt.status();
-  const size_t builder_bytes = tpt->MemoryBytes();
-  FrozenTpt frozen = FrozenTpt::Freeze(*tpt);
-
-  auto updated = std::unique_ptr<HybridPredictor>(
-      new HybridPredictor(options_, regions_, std::move(combined),
-                          std::move(tables), std::move(frozen)));
-  updated->summary_ = summary_;
-  updated->summary_.num_patterns = updated->patterns_.size();
-  updated->summary_.tpt_memory_bytes = builder_bytes;
-  updated->summary_.tpt_frozen_bytes = updated->tpt_.MemoryBytes();
-  updated->summary_.tpt_height = updated->tpt_.Height();
-  // Carry the counts so they stay monotonic across snapshot swaps.
-  updated->counters_ = counters_;
-  return updated;
-}
-
-StatusOr<size_t> HybridPredictor::IncorporateNewHistory(
-    const Trajectory& new_history) {
-  StatusOr<std::unique_ptr<HybridPredictor>> updated =
-      WithNewHistory(new_history);
+  StatusOr<std::unique_ptr<HybridPredictor>> updated = Assemble(
+      options_, regions_, std::move(combined), std::move(tables), summary_);
   if (!updated.ok()) return updated.status();
-  const size_t added = (*updated)->patterns_.size() - patterns_.size();
+  // Carry the counts so they stay monotonic across the update.
+  (*updated)->counters_ = counters_;
   *this = std::move(**updated);
   return added;
 }

@@ -105,11 +105,10 @@ struct QueryCounters {
 /// Train() mines the object's history once; Predict() answers any number
 /// of queries. The model state is immutable after training, and the
 /// query counters are atomic, so a trained predictor is safe to share
-/// across concurrently-predicting readers. Updates produce *new*
-/// predictors via WithNewHistory(); the only mutating members —
+/// across concurrently-predicting readers. The only mutating members —
 /// IncorporateNewHistory() and set_weight_function() — must be
-/// externally serialised against readers (the serving layer instead
-/// swaps in WithNewHistory() snapshots and never mutates a shared one).
+/// externally serialised against readers (the serving layer never
+/// mutates a shared model: it trains a fresh one and swaps it in).
 class HybridPredictor {
  public:
   /// Mines frequent regions and trajectory patterns from `history` and
@@ -242,23 +241,12 @@ class HybridPredictor {
   /// the inserted rules reflect the new batch. If a new rule concludes
   /// at a time offset the consequence-key table has never seen, the key
   /// tables and the TPT are rebuilt (keys change length); otherwise the
-  /// keys are unchanged and only the pattern set grows. Not safe to call
-  /// concurrently with Predict — concurrent deployments should use
-  /// WithNewHistory() and swap the returned snapshot instead.
+  /// keys are unchanged and only the pattern set grows. Either way the
+  /// whole TPT is bulk loaded and frozen afresh. On failure the model is
+  /// left unchanged. Not safe to call concurrently with Predict.
   ///
   /// Returns the number of patterns added.
   StatusOr<size_t> IncorporateNewHistory(const Trajectory& new_history);
-
-  /// The snapshot-building flavour of the §V-B insertion path: mines
-  /// `new_history` exactly like IncorporateNewHistory, but leaves *this
-  /// untouched and returns a fresh predictor carrying the combined
-  /// pattern set (and a query-counter snapshot, so counts stay monotonic
-  /// across swaps). Because the TPT bulk loader is sequential insertion,
-  /// the fresh instance's index is bit-identical to what in-place
-  /// insertion would have produced. Safe to call while other threads
-  /// Predict() on *this.
-  StatusOr<std::unique_ptr<HybridPredictor>> WithNewHistory(
-      const Trajectory& new_history) const;
 
   /// Persists the trained model (options, frequent regions, patterns,
   /// and the frozen TPT arena) to a binary file. Storing the arena lets
@@ -284,8 +272,8 @@ class HybridPredictor {
 
   /// Copies `other`'s query-counter values into this predictor, so a
   /// freshly rebuilt model keeps the aggregate counts monotonic across a
-  /// snapshot swap (what WithNewHistory does internally). Call before
-  /// publishing this predictor to readers — it races with nothing then.
+  /// snapshot swap. Call before publishing this predictor to readers — it
+  /// races with nothing then.
   void CarryCountersFrom(const HybridPredictor& other) const {
     counters_ = other.counters_;
   }
@@ -301,7 +289,7 @@ class HybridPredictor {
   const std::vector<TrajectoryPattern>& patterns() const { return patterns_; }
 
   /// The frozen serving index. The mutable builder tree exists only
-  /// transiently inside Train/WithNewHistory/LoadFromFile.
+  /// transiently inside Train/IncorporateNewHistory/LoadFromFile.
   const FrozenTpt& tpt() const { return tpt_; }
   const KeyTables& key_tables() const { return key_tables_; }
   const HybridPredictorOptions& options() const { return options_; }
@@ -327,12 +315,14 @@ class HybridPredictor {
                   std::vector<TrajectoryPattern> patterns,
                   KeyTables key_tables, FrozenTpt tpt);
 
-  /// Shared §V-B front half: decomposes `new_history`, maps it onto the
-  /// existing regions, mines, and dedupes against patterns_. Sets
-  /// `*new_consequence_offset` when a mined rule concludes at a time
-  /// offset the consequence-key table has never seen.
-  StatusOr<std::vector<TrajectoryPattern>> MineFreshPatterns(
-      const Trajectory& new_history, bool* new_consequence_offset) const;
+  /// The index half of every model build, shared by Train and
+  /// IncorporateNewHistory: encodes `patterns` with `tables`, bulk loads
+  /// and freezes the TPT, and fills `summary`'s region, pattern and index
+  /// fields (the rest of `summary` is kept as given).
+  static StatusOr<std::unique_ptr<HybridPredictor>> Assemble(
+      const HybridPredictorOptions& options, FrequentRegionSet regions,
+      std::vector<TrajectoryPattern> patterns, KeyTables tables,
+      TrainingSummary summary);
 
   /// Maps recent movements to visited frequent regions (query premise).
   std::vector<int> QueryPremise(const PredictiveQuery& query) const;

@@ -19,10 +19,8 @@ std::string ShardQueryFaultSite(int shard) {
 MovingObjectStore::MovingObjectStore(ObjectStoreOptions options)
     : options_(std::move(options)),
       continuous_(std::make_unique<ContinuousState>()),
-      stats_(std::make_unique<AtomicOverloadStats>()),
       metrics_registry_(std::make_unique<MetricsRegistry>()) {
   HPM_CHECK(options_.min_training_periods >= 1);
-  HPM_CHECK(options_.update_batch_periods >= 1);
   HPM_CHECK(options_.recent_window >= 2);
   HPM_CHECK(options_.num_shards >= 1);
   HPM_CHECK(options_.query_threads >= 0);
@@ -182,23 +180,10 @@ StatusOr<bool> MovingObjectStore::ApplyReplicated(const WalRecord& record) {
           ": record t=" + std::to_string(record.t) + ", next=" +
           std::to_string(next));
     }
-    const bool created = it == shard.records.end();
-    if (created) {
-      it = shard.records
-               .emplace(record.id, std::make_unique<ObjectRecord>(record.id))
-               .first;
-      if (options_.rebuild.incremental) it->second->miner = NewMiner();
-    }
-    ObjectRecord& rec = *it->second;
-    rec.history.Append(Point{record.x, record.y});
-    if (rec.miner != nullptr) rec.miner->Observe(Point{record.x, record.y});
     // A store with its own journal attached re-journals the applied
-    // record before publishing, exactly like live ingest; during
-    // LoadFromDirectory replay no writer is attached yet and this is a
-    // no-op.
-    WalAppend(shard, record);
-    PublishView(rec, BuildView(rec));
-    if (created) PublishTable(shard);
+    // record, exactly like live ingest; during LoadFromDirectory replay
+    // no writer is attached yet and the journaling is a no-op.
+    AppendReport(shard, record.id, it, Point{record.x, record.y});
   }
   // Re-run the training thresholds exactly as live ingest would have:
   // the replayed store's models then match an uninterrupted store's.
@@ -291,7 +276,6 @@ QueryPipeline::Env MovingObjectStore::PipelineEnv() const {
   env.admission = admission_.get();
   env.pool = pool_.get();
   env.breakers = &breakers_;
-  env.stats = stats_.get();
   env.metrics = metrics_.get();
   env.degrade_queue_depth = options_.degrade_queue_depth;
   env.degrade_min_headroom = options_.degrade_min_headroom;
@@ -364,30 +348,7 @@ Status MovingObjectStore::Ingest(ObjectId id, const Point& location,
                       std::to_string(next) + ")");
       }
     }
-    const bool created = it == shard.records.end();
-    // Journal before the epoch-published view swap: once a reader can
-    // observe the report, a crash must replay it. A WAL failure here
-    // degrades the store to non-durable serving — the report still lands.
-    WalRecord journal;
-    journal.type = WalRecord::Type::kReport;
-    journal.id = id;
-    journal.t = created ? 0
-                        : static_cast<Timestamp>(it->second->history.size());
-    journal.x = location.x;
-    journal.y = location.y;
-    WalAppend(shard, journal);
-    if (created) {
-      it = shard.records
-               .emplace(id, std::make_unique<ObjectRecord>(id))
-               .first;
-      if (options_.rebuild.incremental) it->second->miner = NewMiner();
-    }
-    ObjectRecord& record = *it->second;
-    record.history.Append(location);
-    if (record.miner != nullptr) record.miner->Observe(location);
-    // View before table: a record must never be reachable viewless.
-    PublishView(record, BuildView(record));
-    if (created) PublishTable(shard);
+    AppendReport(shard, id, it, location);
     return Status::OK();
   });
   HPM_RETURN_IF_ERROR(appended);
@@ -401,6 +362,33 @@ Status MovingObjectStore::Ingest(ObjectId id, const Point& location,
     });
   }
   return Status::OK();
+}
+
+void MovingObjectStore::AppendReport(Shard& shard, ObjectId id,
+                                     RecordMap::iterator it,
+                                     const Point& location) {
+  const bool created = it == shard.records.end();
+  // Journal before the epoch-published view swap: once a reader can
+  // observe the report, a crash must replay it. A WAL failure here
+  // degrades the store to non-durable serving — the report still lands.
+  WalRecord journal;
+  journal.type = WalRecord::Type::kReport;
+  journal.id = id;
+  journal.t =
+      created ? 0 : static_cast<Timestamp>(it->second->history.size());
+  journal.x = location.x;
+  journal.y = location.y;
+  WalAppend(shard, journal);
+  if (created) {
+    it = shard.records.emplace(id, std::make_unique<ObjectRecord>(id)).first;
+    if (options_.rebuild.incremental) it->second->miner = NewMiner();
+  }
+  ObjectRecord& record = *it->second;
+  record.history.Append(location);
+  if (record.miner != nullptr) record.miner->Observe(location);
+  // View before table: a record must never be reachable viewless.
+  PublishView(record, BuildView(record));
+  if (created) PublishTable(shard);
 }
 
 Status MovingObjectStore::ReportLocation(ObjectId id,
@@ -424,137 +412,56 @@ Status MovingObjectStore::ReportTrajectory(ObjectId id,
 Status MovingObjectStore::MaybeTrain(Shard& shard, ObjectId id,
                                      QueryPipeline& pipeline,
                                      bool allow_background) {
-  const Timestamp period = options_.predictor.regions.period;
-  const size_t period_samples = static_cast<size_t>(period);
-
-  // Decide under the writer lock; mine outside it. `training_in_flight`
-  // keeps a second reporter of the same object from mining the same
-  // batch concurrently — it re-checks the threshold on its next report.
-  enum class Action { kNone, kInitial, kIncremental, kRebuild };
-  Action action = Action::kNone;
-  Trajectory training_input;
-  std::shared_ptr<const HybridPredictor> base;
-  size_t consumed_at_capture = 0;
-  size_t whole_periods = 0;
-
+  // Decide under the writer lock; BuildModel mines outside it.
+  ModelBuild kind = ModelBuild::kInitial;
   {
     std::lock_guard<std::mutex> lock(shard.write_mutex);
     ObjectRecord& record = *shard.records.at(id);
     if (record.training_in_flight) return Status::OK();
     if (record.predictor == nullptr) {
       const size_t needed =
-          static_cast<size_t>(options_.min_training_periods) * period_samples;
+          static_cast<size_t>(options_.min_training_periods) *
+          static_cast<size_t>(options_.predictor.regions.period);
       if (record.history.size() < needed) return Status::OK();
-      action = Action::kInitial;
     } else if (options_.rebuild.incremental) {
-      // Incremental mode: the period-count trigger is replaced by the
-      // miner's drift score — a model is rebuilt when its pattern set
+      // A trained model is refreshed only when its miner's pattern set
       // has measurably moved, not merely when time has passed.
       if (record.miner == nullptr || !record.miner->has_regions() ||
           record.miner->drift() < options_.rebuild.drift_threshold ||
           record.miner->window_end() <= record.consumed_samples) {
         return Status::OK();
       }
-      action = Action::kRebuild;
+      kind = ModelBuild::kRebuild;
     } else {
-      const size_t fresh = record.history.size() - record.consumed_samples;
-      const size_t batch =
-          static_cast<size_t>(options_.update_batch_periods) * period_samples;
-      if (fresh < batch) return Status::OK();
-      action = Action::kIncremental;
+      return Status::OK();  // Without rebuilds the first model stays.
     }
     // Training is the most expendable work in the system: under rung-1
-    // pressure it is deferred outright — the thresholds stay satisfied,
-    // so the next report after pressure clears picks it up. (Background
+    // pressure it is deferred outright — the trigger stays satisfied, so
+    // the next report after pressure clears picks it up. (Background
     // rebuilds get their own deferral in the scheduler's worker; the
     // check here covers the inline paths.)
     if (pipeline.ShouldShedNow(Deadline::Infinite())) {
       pipeline.context().CountDeferredTrain();
       return Status::OK();
     }
-    if (action == Action::kRebuild) {
-      // Capture nothing here: RebuildObject re-examines the record
-      // under the lock itself (the state may move before a background
-      // worker gets to it).
-    } else if (action == Action::kInitial) {
-      training_input = record.history;
-    } else {
-      const size_t fresh = record.history.size() - record.consumed_samples;
-      whole_periods = (fresh / period_samples) * period_samples;
-      StatusOr<Trajectory> suffix = record.history.Slice(
-          static_cast<Timestamp>(record.consumed_samples),
-          static_cast<Timestamp>(record.consumed_samples + whole_periods));
-      if (!suffix.ok()) return suffix.status();
-      training_input = std::move(*suffix);
-      base = record.predictor;
-      consumed_at_capture = record.consumed_samples;
+  }
+
+  if (kind == ModelBuild::kRebuild && options_.rebuild.background &&
+      allow_background) {
+    switch (EnsureScheduler()->Enqueue(id)) {
+      case RebuildScheduler::EnqueueResult::kQueued:
+        metrics_->rebuild_scheduled->Increment();
+        break;
+      case RebuildScheduler::EnqueueResult::kAlreadyPending:
+        break;
+      case RebuildScheduler::EnqueueResult::kDropped:
+        // Drift persists, so a later report re-requests the rebuild.
+        metrics_->rebuild_dropped->Increment();
+        break;
     }
-    // kRebuild leaves the flag to RebuildObject (which sets it for the
-    // span of its own capture/build/publish cycle).
-    if (action != Action::kRebuild) record.training_in_flight = true;
+    return Status::OK();
   }
-
-  if (action == Action::kRebuild) {
-    if (options_.rebuild.background && allow_background) {
-      switch (EnsureScheduler()->Enqueue(id)) {
-        case RebuildScheduler::EnqueueResult::kQueued:
-          metrics_->rebuild_scheduled->Increment();
-          break;
-        case RebuildScheduler::EnqueueResult::kAlreadyPending:
-          break;
-        case RebuildScheduler::EnqueueResult::kDropped:
-          // Drift persists, so a later report re-requests the rebuild.
-          metrics_->rebuild_dropped->Increment();
-          break;
-      }
-      return Status::OK();
-    }
-    return RebuildObject(shard, id);
-  }
-
-  // Mining runs unlocked: readers keep serving the previous snapshot.
-  // Transient (kUnavailable) build failures — a wedged allocator, an
-  // injected fault — are retried with backoff before the swap is given
-  // up; the RNG is seeded from the object id so schedules replay.
-  ScopedSpan span(&pipeline.context().trace(), "train");
-  Random retry_rng(0x74726e5f72747279ULL ^ static_cast<uint64_t>(id));
-  StatusOr<std::unique_ptr<HybridPredictor>> built = RetryWithBackoff(
-      RetryPolicy{}, retry_rng,
-      [&]() -> StatusOr<std::unique_ptr<HybridPredictor>> {
-        return action == Action::kInitial
-                   ? HybridPredictor::Train(training_input,
-                                            options_.predictor)
-                   : base->WithNewHistory(training_input);
-      });
-
-  std::lock_guard<std::mutex> lock(shard.write_mutex);
-  ObjectRecord& record = *shard.records.at(id);
-  record.training_in_flight = false;
-  if (!built.ok()) return built.status().Annotate("train");
-  record.predictor =
-      std::shared_ptr<const HybridPredictor>(std::move(*built));
-  // Every (re)train publishes a fresh frozen arena; the counter tracks
-  // total bytes built so dashboards see index growth across generations.
-  metrics_->tpt_frozen_bytes->Increment(
-      record.predictor->summary().tpt_frozen_bytes);
-  record.consumed_samples =
-      action == Action::kInitial
-          ? training_input.NumSubTrajectories(period) * period_samples
-          : consumed_at_capture + whole_periods;
-  if (record.miner != nullptr && action == Action::kInitial) {
-    // Bootstrap handoff to incremental maintenance: the miner adopts
-    // the freshly discovered region vocabulary (recounting its window
-    // against it) and drift starts accumulating from here; every later
-    // refresh is a drift-triggered rebuild.
-    record.miner->AdoptRegions(record.predictor->regions());
-    record.consumed_samples = record.miner->window_end();
-  }
-  // The swap the readers actually see: the new model generation becomes
-  // visible with this view publication, and the old view (holding the
-  // previous generation's last shared handle once readers drain) heads
-  // to limbo.
-  PublishView(record, BuildView(record));
-  return Status::OK();
+  return BuildModel(shard, id, kind, &pipeline.context().trace());
 }
 
 std::unique_ptr<IncrementalMiner> MovingObjectStore::NewMiner() const {
@@ -598,7 +505,10 @@ RebuildScheduler* MovingObjectStore::EnsureScheduler() {
   scheduler_options.min_start_interval = options_.rebuild.min_rebuild_interval;
   scheduler_ = std::make_unique<RebuildScheduler>(
       scheduler_options,
-      [this](ObjectId id) { (void)RebuildObject(ShardFor(id), id); },
+      [this](ObjectId id) {
+        (void)BuildModel(ShardFor(id), id, ModelBuild::kRebuild,
+                         /*trace=*/nullptr);
+      },
       [this] {
         return options_.degrade_queue_depth > 0 &&
                pool_->queue_depth() >= options_.degrade_queue_depth;
@@ -607,72 +517,103 @@ RebuildScheduler* MovingObjectStore::EnsureScheduler() {
   return scheduler_.get();
 }
 
-Status MovingObjectStore::RebuildObject(Shard& shard, ObjectId id) {
-  // Capture the rebuild window under the writer lock. Re-examine
-  // everything: between the drift trigger and this call (possibly much
-  // later, on the background worker) the record may have been rebuilt
-  // by someone else or have nothing new.
-  Trajectory window;
+Status MovingObjectStore::BuildModel(Shard& shard, ObjectId id,
+                                     ModelBuild kind, Trace* trace) {
+  const bool rebuild = kind == ModelBuild::kRebuild;
+  // Capture the training input under the writer lock. Re-examine
+  // everything: between the trigger and this call (possibly much later,
+  // on the background worker) the record may have been trained by
+  // someone else or have nothing new. `training_in_flight` keeps a
+  // second caller from building the same model concurrently.
+  Trajectory input;
   std::shared_ptr<const HybridPredictor> previous;
-  size_t consumed_at_capture = 0;
+  size_t consumed = 0;
   {
     std::lock_guard<std::mutex> lock(shard.write_mutex);
     const auto it = shard.records.find(id);
     if (it == shard.records.end()) return Status::OK();
     ObjectRecord& record = *it->second;
-    if (record.miner == nullptr || record.predictor == nullptr ||
-        record.training_in_flight ||
-        record.miner->window_end() <= record.consumed_samples) {
-      return Status::OK();
+    if (record.training_in_flight) return Status::OK();
+    if (rebuild) {
+      if (record.miner == nullptr || record.predictor == nullptr ||
+          record.miner->window_end() <= record.consumed_samples) {
+        return Status::OK();
+      }
+      input = record.miner->WindowTrajectory();
+      consumed = record.miner->window_end();
+      previous = record.predictor;
+    } else {
+      if (record.predictor != nullptr) return Status::OK();
+      input = record.history;
+      const Timestamp period = options_.predictor.regions.period;
+      consumed =
+          input.NumSubTrajectories(period) * static_cast<size_t>(period);
     }
-    window = record.miner->WindowTrajectory();
-    consumed_at_capture = record.miner->window_end();
-    previous = record.predictor;
     record.training_in_flight = true;
   }
 
-  // Mine + freeze off-lock; readers keep serving `previous` throughout.
-  // On any failure the last-good model stays published and the drift
-  // that triggered us is still there to re-request the rebuild.
-  auto fail = [&](const Status& status) {
-    std::lock_guard<std::mutex> lock(shard.write_mutex);
-    shard.records.at(id)->training_in_flight = false;
-    metrics_->rebuild_failed->Increment();
-    return status.Annotate("rebuild object " + std::to_string(id));
-  };
+  // Mine + freeze off-lock; readers keep serving the published view
+  // throughout. A first build retries transient (kUnavailable) failures
+  // with backoff, the RNG seeded from the object id so schedules replay.
+  // A failed rebuild leaves the last-good model serving, and the drift
+  // that triggered it is still there to re-request it.
+  ScopedSpan span(trace, "train");
   const Stopwatch timer;
-  if (Status faulted = HPM_FAULT_HIT("rebuild/mine"); !faulted.ok()) {
-    return fail(faulted);
-  }
-  StatusOr<std::unique_ptr<HybridPredictor>> built =
-      HybridPredictor::Train(window, options_.predictor);
-  if (!built.ok()) return fail(built.status());
-  if (Status faulted = HPM_FAULT_HIT("rebuild/freeze"); !faulted.ok()) {
-    return fail(faulted);
-  }
+  StatusOr<std::unique_ptr<HybridPredictor>> built = [&]()
+      -> StatusOr<std::unique_ptr<HybridPredictor>> {
+    if (!rebuild) {
+      Random retry_rng(0x74726e5f72747279ULL ^ static_cast<uint64_t>(id));
+      return RetryWithBackoff(
+          RetryPolicy{}, retry_rng,
+          [&] { return HybridPredictor::Train(input, options_.predictor); });
+    }
+    HPM_RETURN_IF_ERROR(HPM_FAULT_HIT("rebuild/mine"));
+    StatusOr<std::unique_ptr<HybridPredictor>> trained =
+        HybridPredictor::Train(input, options_.predictor);
+    if (trained.ok()) HPM_RETURN_IF_ERROR(HPM_FAULT_HIT("rebuild/freeze"));
+    return trained;
+  }();
 
   std::lock_guard<std::mutex> lock(shard.write_mutex);
   ObjectRecord& record = *shard.records.at(id);
   record.training_in_flight = false;
-  if (Status faulted = HPM_FAULT_HIT("rebuild/publish"); !faulted.ok()) {
+  if (rebuild && built.ok()) {
+    if (Status faulted = HPM_FAULT_HIT("rebuild/publish"); !faulted.ok()) {
+      built = faulted;
+    }
+  }
+  if (!built.ok()) {
+    if (!rebuild) return built.status().Annotate("train");
     metrics_->rebuild_failed->Increment();
-    return faulted.Annotate("rebuild object " + std::to_string(id));
+    return built.status().Annotate("rebuild object " + std::to_string(id));
   }
   record.predictor =
       std::shared_ptr<const HybridPredictor>(std::move(*built));
   // Monotonic aggregate query counters survive the swap.
-  record.predictor->CarryCountersFrom(*previous);
+  if (previous != nullptr) record.predictor->CarryCountersFrom(*previous);
+  // Every build publishes a fresh frozen arena; the counter tracks total
+  // bytes built so dashboards see index growth across generations.
   metrics_->tpt_frozen_bytes->Increment(
       record.predictor->summary().tpt_frozen_bytes);
-  record.consumed_samples = consumed_at_capture;
-  // Adopt the rebuilt model's region vocabulary: the recount aligns the
-  // miner's counts with what the model was actually built from, and
-  // drift restarts from this publish.
-  record.miner->AdoptRegions(record.predictor->regions());
+  record.consumed_samples = consumed;
+  if (record.miner != nullptr) {
+    // The miner adopts the model's region vocabulary: the recount aligns
+    // its counts with what the model was built from, and drift restarts
+    // from this publish. After the first build, every refresh is a
+    // drift-triggered rebuild from the miner's window.
+    record.miner->AdoptRegions(record.predictor->regions());
+    if (!rebuild) record.consumed_samples = record.miner->window_end();
+  }
+  // The swap the readers actually see: the new model generation becomes
+  // visible with this view publication, and the old view (holding the
+  // previous generation's last shared handle once readers drain) heads
+  // to limbo.
   PublishView(record, BuildView(record));
-  metrics_->rebuild_completed->Increment();
-  metrics_->rebuild_build_us->RecordMicros(
-      static_cast<uint64_t>(timer.ElapsedMicros()));
+  if (rebuild) {
+    metrics_->rebuild_completed->Increment();
+    metrics_->rebuild_build_us->RecordMicros(
+        static_cast<uint64_t>(timer.ElapsedMicros()));
+  }
   return Status::OK();
 }
 
@@ -696,7 +637,8 @@ Status MovingObjectStore::FlushRebuilds() {
       }
     }
     for (const ObjectId id : pending) {
-      if (Status rebuilt = RebuildObject(*shard, id);
+      if (Status rebuilt = BuildModel(*shard, id, ModelBuild::kRebuild,
+                                      /*trace=*/nullptr);
           !rebuilt.ok() && first.ok()) {
         first = rebuilt;
       }
@@ -768,10 +710,6 @@ MovingObjectStore::GetPredictor(ObjectId id) const {
     return Status::FailedPrecondition("object has no trained model yet");
   }
   return view->predictor;
-}
-
-OverloadStats MovingObjectStore::overload_stats() const {
-  return stats_->Snapshot();
 }
 
 CircuitBreaker::State MovingObjectStore::BreakerState(int shard) const {

@@ -3,9 +3,9 @@
 //
 // The paper's model is per-object (patterns are mined from one object's
 // history); a deployment tracks a fleet. This store ingests per-object
-// location reports, bootstraps a HybridPredictor per object once enough
-// periods accumulate, folds newly accumulated data in batches through
-// the §V-B insertion path, and serves two query types:
+// location reports, trains a HybridPredictor per object once enough
+// periods accumulate (and, with RebuildOptions::incremental, rebuilds it
+// when the object's patterns drift), and serves two query types:
 //   * point prediction  — "where will object O be at time tq?"
 //   * predictive range  — "which objects will probably be inside region
 //     R at time tq?" (the query type TPR-tree-style predictive indexes
@@ -106,12 +106,11 @@ struct DurabilityOptions {
 /// (docs/ARCHITECTURE.md has the counts → candidates → rebuild →
 /// freeze → publish walkthrough).
 struct RebuildOptions {
-  /// Master switch. Off (default) keeps the legacy batch path: initial
-  /// training plus §V-B WithNewHistory incorporation on period
-  /// thresholds. On, every object carries an IncrementalMiner fed on
-  /// the ingest path, and model refreshes are *rebuilds* from the
-  /// miner's window, triggered when its drift score crosses
-  /// `drift_threshold`.
+  /// Master switch. Off (default): an object's first model, trained
+  /// once `min_training_periods` periods exist, serves for the store's
+  /// lifetime. On, every object carries an IncrementalMiner fed on the
+  /// ingest path, and the model is *rebuilt* from the miner's window
+  /// whenever its drift score crosses `drift_threshold`.
   bool incremental = false;
 
   /// Where rebuilds run. true (default): a background worker
@@ -160,12 +159,9 @@ struct ObjectStoreOptions {
   HybridPredictorOptions predictor;
 
   /// Train an object's first model once this many complete periods of
-  /// history exist.
+  /// history exist. Later models come only from drift rebuilds
+  /// (RebuildOptions::incremental).
   int min_training_periods = 5;
-
-  /// After initial training, run the §V-B incremental incorporation
-  /// whenever this many new complete periods accumulate.
-  int update_batch_periods = 2;
 
   /// Recent movements handed to queries (and the motion fallback).
   int recent_window = 10;
@@ -253,8 +249,8 @@ class MovingObjectStore {
 
   /// Appends one location sample for `id` at the object's next
   /// timestamp (each object's clock starts at 0 and advances by 1 per
-  /// report). Training and incremental updates run on the reporting
-  /// thread when their thresholds are crossed — but outside the shard
+  /// report). Training and inline rebuilds run on the reporting
+  /// thread when their triggers fire — but outside the shard
   /// lock, against a history/model snapshot, so concurrent readers of
   /// the same shard are never blocked behind mining; their errors
   /// propagate. Concurrent reports for the *same* object are safe but
@@ -360,9 +356,6 @@ class MovingObjectStore {
       Deadline deadline = Deadline::Infinite()) const;
 
   /// ---- Observability --------------------------------------------------
-  /// Snapshot of the overload-control counters.
-  OverloadStats overload_stats() const;
-
   /// True when the store was configured with a write-ahead journal
   /// (DurabilityOptions::wal_dir non-empty).
   bool wal_enabled() const { return !options_.durability.wal_dir.empty(); }
@@ -519,12 +512,13 @@ class MovingObjectStore {
     // --- writer state (shard write_mutex) --------------------------------
     Trajectory history;
     /// Immutable trained model; replaced wholesale (never mutated) when
-    /// training or incremental incorporation completes.
+    /// a build publishes.
     std::shared_ptr<const HybridPredictor> predictor;
-    /// Samples already consumed by Train / WithNewHistory / a rebuild.
+    /// Samples the served model was built from (the first build's whole
+    /// periods, or the window end of the last rebuild).
     size_t consumed_samples = 0;
     /// Incremental mode only: the streaming pattern-maintenance state
-    /// fed on every append (null in legacy mode).
+    /// fed on every append (null otherwise).
     std::unique_ptr<IncrementalMiner> miner;
     /// True while a reporting thread is mining this object outside the
     /// writer lock; prevents duplicate concurrent (re)trains.
@@ -535,6 +529,8 @@ class MovingObjectStore {
     /// record becomes reachable through a shard table.
     std::atomic<const ObjectView*> view{nullptr};
   };
+
+  using RecordMap = std::map<ObjectId, std::unique_ptr<ObjectRecord>>;
 
   /// A shard's immutable directory: records sorted by id. Replaced
   /// wholesale (publish + retire) when an object is added.
@@ -551,7 +547,7 @@ class MovingObjectStore {
     /// writer state). Never taken on a query read path.
     mutable std::mutex write_mutex;
     /// Record ownership (write_mutex). Records are never erased.
-    std::map<ObjectId, std::unique_ptr<ObjectRecord>> records;
+    RecordMap records;
     /// Malformed reports rejected per object. Kept beside `records` (not
     /// inside ObjectRecord) so a rejected report never creates a phantom
     /// object in ObjectIds()/NumObjects().
@@ -637,6 +633,15 @@ class MovingObjectStore {
   Status Ingest(ObjectId id, const Point& location,
                 const Timestamp* expected_t);
 
+  /// Appends `location` as `id`'s next sample (write_mutex held; `it` is
+  /// the object's record, or end() for a new object): journals the
+  /// report, creates the record (and its miner) on first sight, appends,
+  /// feeds the miner, then publishes the view and, for a new record, the
+  /// shard table. The one append path of live ingest, replication and
+  /// journal replay.
+  void AppendReport(Shard& shard, ObjectId id, RecordMap::iterator it,
+                    const Point& location);
+
   /// Records a malformed report for `id` (creates no trajectory); the
   /// aggregate count flows through `ctx` to the Account stage.
   void RecordRejectedReport(ObjectId id, QueryContext& ctx);
@@ -672,30 +677,40 @@ class MovingObjectStore {
   /// writers attach, so replay never re-journals itself.
   void ReplayWal(uint64_t loaded_gen);
 
-  /// Runs initial training or batch incorporation for `id` if the
-  /// post-append thresholds allow, mining outside the shard lock.
-  /// Under rung-1 pressure the train is deferred — query traffic
-  /// outranks model refreshes; the thresholds re-fire on a later report.
-  /// In incremental mode the refresh trigger is the miner's drift score
-  /// instead of the period threshold, and the refresh is a rebuild:
-  /// inline when `allow_background` is false (WAL replay, sync mode),
-  /// queued on the background scheduler otherwise.
+  /// Builds `id`'s model if a trigger fires after an append: the first
+  /// build once `min_training_periods` periods exist, then (incremental
+  /// mode only) a rebuild whenever the miner's drift score crosses
+  /// `drift_threshold`. Under rung-1 pressure the build is deferred —
+  /// query traffic outranks model refreshes; the trigger re-fires on a
+  /// later report. A rebuild runs inline when `allow_background` is
+  /// false (WAL replay, sync mode) and is queued on the background
+  /// scheduler otherwise.
   Status MaybeTrain(Shard& shard, ObjectId id, QueryPipeline& pipeline,
                     bool allow_background);
+
+  /// The two ways the store produces a model.
+  enum class ModelBuild {
+    kInitial,  ///< First model, trained on the whole history.
+    kRebuild,  ///< Drift rebuild, trained on the miner's window.
+  };
+
+  /// The one capture → Train → publish routine: captures the training
+  /// input under the shard lock (re-examining the record, so it is safe
+  /// to call for ids with nothing to do), trains and freezes off-lock
+  /// while readers keep the published view, then re-locks and publishes
+  /// via the epoch snapshot swap. A first build retries transient
+  /// failures; a rebuild passes the fault sites "rebuild/mine",
+  /// "rebuild/freeze" and "rebuild/publish", and on any failure leaves
+  /// the last-good model serving and counts rebuild.failed. `trace` (may
+  /// be null) receives a "train" span.
+  Status BuildModel(Shard& shard, ObjectId id, ModelBuild kind,
+                    Trace* trace);
 
   /// ---- Incremental maintenance internals ------------------------------
   /// A fresh miner configured from options_ (period, mining params and
   /// region-match slack copied from the predictor options, metric hooks
   /// wired into metrics_).
   std::unique_ptr<IncrementalMiner> NewMiner() const;
-
-  /// One drift-triggered rebuild of `id`: captures the miner's window
-  /// under the shard lock, mines + freezes a fresh model off-lock
-  /// (fault sites "rebuild/mine" and "rebuild/freeze"), then re-locks
-  /// and publishes it via the epoch snapshot swap ("rebuild/publish").
-  /// Any failure leaves the last-good model serving and counts
-  /// rebuild.failed. Safe to call for ids with nothing to do.
-  Status RebuildObject(Shard& shard, ObjectId id);
 
   /// The background worker, created lazily on the first background
   /// enqueue (never during load/replay, so LoadFromDirectory's returned
@@ -730,7 +745,6 @@ class MovingObjectStore {
   std::unique_ptr<ContinuousState> continuous_;
   std::unique_ptr<AdmissionController> admission_;
   std::vector<std::unique_ptr<CircuitBreaker>> breakers_;
-  std::unique_ptr<AtomicOverloadStats> stats_;
   std::unique_ptr<MetricsRegistry> metrics_registry_;
   std::unique_ptr<StoreMetrics> metrics_;
   /// Set once by DisableWal when a disk fault drops the store to

@@ -22,6 +22,16 @@ const char* StoreOpName(StoreOp op) {
   return "unknown";
 }
 
+uint64_t StoreOpTotal(const MetricsSnapshot& snapshot,
+                      const std::string& family) {
+  uint64_t total = 0;
+  for (size_t i = 0; i < kNumStoreOps; ++i) {
+    total += snapshot.counter(family + "." +
+                              StoreOpName(static_cast<StoreOp>(i)));
+  }
+  return total;
+}
+
 StoreMetrics::StoreMetrics(MetricsRegistry* registry) {
   for (size_t i = 0; i < kNumStoreOps; ++i) {
     const std::string op = StoreOpName(static_cast<StoreOp>(i));
@@ -235,18 +245,6 @@ void QueryPipeline::Account() {
   accounted_ = true;
 
   const QueryContext::Totals totals = ctx_.totals();
-  AtomicOverloadStats* stats = env_.stats;
-  if (admitted_) stats->admitted.fetch_add(1, std::memory_order_relaxed);
-  if (shed_) stats->shed.fetch_add(1, std::memory_order_relaxed);
-  stats->degraded_overload.fetch_add(totals.degraded_predictions,
-                                     std::memory_order_relaxed);
-  stats->shards_skipped.fetch_add(totals.shards_skipped,
-                                  std::memory_order_relaxed);
-  stats->trains_deferred.fetch_add(totals.trains_deferred,
-                                   std::memory_order_relaxed);
-  stats->reports_rejected.fetch_add(totals.reports_rejected,
-                                    std::memory_order_relaxed);
-
   if (StoreMetrics* m = env_.metrics; m != nullptr) {
     const size_t op = static_cast<size_t>(op_);
     if (admitted_) m->admitted[op]->Increment();

@@ -15,8 +15,8 @@
 // * MergeRank sorts and truncates fleet results in the entry point's
 //            order.
 // * Account  flushes the context's accumulators into the store's
-//            AtomicOverloadStats and MetricsRegistry exactly once — the
-//            single accounting point — records per-stage latencies, and
+//            MetricsRegistry exactly once — the single accounting
+//            point — records per-stage latencies, and
 //            hands the per-query trace to the store's trace sink. It runs
 //            on *every* exit path (the destructor invokes it if the entry
 //            point returned early), so counts like admitted/shed stay
@@ -33,6 +33,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -61,6 +62,11 @@ inline constexpr size_t kNumStoreOps = 5;
 /// Stable short name ("report", "predict", "predict_batch", "range",
 /// "nearest") — used in metric names and trace roots.
 const char* StoreOpName(StoreOp op);
+
+/// Sum over every StoreOp of the per-op counter family `family`
+/// ("store.admitted", "store.shed") in `snapshot`.
+uint64_t StoreOpTotal(const MetricsSnapshot& snapshot,
+                      const std::string& family);
 
 /// Pointers into the store's MetricsRegistry, resolved once at store
 /// construction so the hot path never touches the registry lock.
@@ -135,7 +141,6 @@ class QueryPipeline {
     AdmissionController* admission = nullptr;
     ThreadPool* pool = nullptr;
     const std::vector<std::unique_ptr<CircuitBreaker>>* breakers = nullptr;
-    AtomicOverloadStats* stats = nullptr;
     StoreMetrics* metrics = nullptr;
     /// Rung-1 ladder thresholds (ObjectStoreOptions values).
     size_t degrade_queue_depth = 0;

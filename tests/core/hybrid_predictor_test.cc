@@ -443,41 +443,42 @@ TEST(HybridPredictorCountersTest, ConcurrentPredictsLoseNoCounts) {
   EXPECT_EQ(counters.pattern_answers + counters.motion_fallbacks, kTotal);
 }
 
-TEST(HybridPredictorUpdateTest, WithNewHistoryMatchesInPlaceIncorporation) {
-  // Two identically-trained predictors; one takes the mutating §V-B
-  // path, the other builds a snapshot. The snapshot must carry the same
-  // pattern set and answer every query identically, and the source
-  // predictor must be untouched.
-  auto in_place = HybridPredictor::Train(MakeHistory(20), SmallOptions());
-  auto snapshotting = HybridPredictor::Train(MakeHistory(20), SmallOptions());
-  ASSERT_TRUE(in_place.ok());
-  ASSERT_TRUE(snapshotting.ok());
+TEST(HybridPredictorUpdateTest, IncorporationKeepsCountersAndFailsCleanly) {
+  // The §V-B path rebuilds the whole index in place: the query counters
+  // must carry over, the index must cover exactly the grown pattern set,
+  // and a failed incorporation must leave the model answering as before.
+  auto trained = HybridPredictor::Train(MakeHistory(20), SmallOptions());
+  ASSERT_TRUE(trained.ok());
+  HybridPredictor& model = **trained;
+  ASSERT_TRUE(model.Predict(RouteAQuery(10, 4)).ok());
+  ASSERT_TRUE(model.Predict(RouteAQuery(5, 12)).ok());
+  const QueryCounters counted = model.counters();
+  const size_t patterns_before = model.patterns().size();
 
-  const Trajectory fresh = MakeHistory(10, 99);
-  const size_t patterns_before = (*snapshotting)->patterns().size();
-
-  auto added = (*in_place)->IncorporateNewHistory(fresh);
+  auto added = model.IncorporateNewHistory(MakeHistory(10, 99));
   ASSERT_TRUE(added.ok());
-  auto snapshot = (*snapshotting)->WithNewHistory(fresh);
-  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(model.patterns().size(), patterns_before + *added);
+  EXPECT_EQ(model.summary().num_patterns, model.patterns().size());
+  EXPECT_EQ(model.tpt().size(), model.patterns().size());
+  EXPECT_EQ(model.summary().tpt_frozen_bytes, model.tpt().MemoryBytes());
+  EXPECT_EQ(model.counters().forward_queries, counted.forward_queries);
+  EXPECT_EQ(model.counters().backward_queries, counted.backward_queries);
 
-  // The source of WithNewHistory is unchanged.
-  EXPECT_EQ((*snapshotting)->patterns().size(), patterns_before);
-
-  EXPECT_EQ((*snapshot)->patterns().size(),
-            patterns_before + *added);
-  EXPECT_EQ((*snapshot)->patterns().size(), (*in_place)->patterns().size());
-  EXPECT_EQ((*snapshot)->tpt().size(), (*in_place)->tpt().size());
-  EXPECT_EQ((*snapshot)->summary().num_patterns,
-            (*in_place)->summary().num_patterns);
-  EXPECT_EQ((*snapshot)->summary().tpt_height,
-            (*in_place)->summary().tpt_height);
-
+  std::vector<StatusOr<std::vector<Prediction>>> answers;
   for (Timestamp tc = 4; tc <= 14; tc += 2) {
     for (Timestamp length : {2, 4, 9, 12}) {
-      const PredictiveQuery q = RouteAQuery(tc, length, 4);
-      auto a = (*in_place)->Predict(q);
-      auto b = (*snapshot)->Predict(q);
+      answers.push_back(model.Predict(RouteAQuery(tc, length, 4)));
+    }
+  }
+  Trajectory partial;
+  for (int i = 0; i < 5; ++i) partial.Append({0, 0});
+  ASSERT_FALSE(model.IncorporateNewHistory(partial).ok());
+  EXPECT_EQ(model.patterns().size(), patterns_before + *added);
+  size_t next = 0;
+  for (Timestamp tc = 4; tc <= 14; tc += 2) {
+    for (Timestamp length : {2, 4, 9, 12}) {
+      const auto& a = answers[next++];
+      auto b = model.Predict(RouteAQuery(tc, length, 4));
       ASSERT_EQ(a.ok(), b.ok());
       if (!a.ok()) continue;
       ASSERT_EQ(a->size(), b->size());

@@ -220,7 +220,6 @@ ObjectStoreOptions StoreOptions(const MiningCase& c, const std::string& dir) {
   options.predictor.distant_threshold = 8;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = 4;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
   options.num_shards = 2;
   options.rebuild.incremental = true;

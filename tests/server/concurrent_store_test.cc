@@ -38,7 +38,6 @@ ObjectStoreOptions Options() {
   options.predictor.distant_threshold = 8;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = 5;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
   options.num_shards = 4;
   options.query_threads = 2;
@@ -236,11 +235,16 @@ TEST(ConcurrentStoreTest, MetadataReadsDuringConcurrentReports) {
 }
 
 // Model snapshots handed out by GetPredictor stay valid and give the
-// same answers after later retrains swap the live model.
+// same answers after later retrains swap the live model. The swaps come
+// from inline drift rebuilds: the object moves to another route.
 TEST(ConcurrentStoreTest, SnapshotsSurviveRetrains) {
   const uint64_t seed = proptest::SeedForTest(7919);
   SCOPED_TRACE(proptest::ReplayLine(seed));
   ObjectStoreOptions options = Options();
+  options.rebuild.incremental = true;
+  options.rebuild.background = false;
+  options.rebuild.drift_threshold = 1.0;
+  options.rebuild.miner.window_periods = 4;
   MovingObjectStore store(options);
   const Timestamp trained = options.min_training_periods * kPeriod;
   for (Timestamp t = 0; t < trained; ++t) {
@@ -261,14 +265,15 @@ TEST(ConcurrentStoreTest, SnapshotsSurviveRetrains) {
   auto before = (*snapshot)->Predict(query);
   ASSERT_TRUE(before.ok());
 
-  // Drive two more retrain batches; the live model is replaced.
+  // Four periods on object 7's route drift the model into rebuilds; the
+  // live model is replaced.
   for (Timestamp t = trained; t < trained + 4 * kPeriod; ++t) {
-    ASSERT_TRUE(store.ReportLocation(0, NoisySample(0, t, seed)).ok());
+    ASSERT_TRUE(store.ReportLocation(0, NoisySample(7, t, seed)).ok());
   }
   auto live = store.GetPredictor(0);
   ASSERT_TRUE(live.ok());
   EXPECT_NE(snapshot->get(), live->get());
-  EXPECT_GE((*live)->patterns().size(), (*snapshot)->patterns().size());
+  EXPECT_GE(store.metrics_snapshot().counter("rebuild.completed"), 1u);
 
   // The old snapshot still answers, identically.
   auto after = (*snapshot)->Predict(query);

@@ -44,7 +44,6 @@ ObjectStoreOptions Options(const std::string& dir) {
   options.predictor.distant_threshold = 8;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = 5;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
   options.num_shards = 2;
   if (!dir.empty()) options.durability.wal_dir = dir + "/wal";
@@ -128,6 +127,41 @@ TEST_F(DurableStoreTest, ReplayRecoversReportsNeverSnapshotted) {
   EXPECT_EQ(restored->metrics_snapshot().counter("wal.replayed_records"),
             21u);
   EXPECT_TRUE(restored->wal_durable());
+}
+
+TEST_F(DurableStoreTest, ReplayedDefaultStoreKeepsOneModelPerObject) {
+  // Replay re-runs the build triggers exactly as live ingest did: one
+  // model per object, built once, and further periods never swap it.
+  const std::string dir = FreshDir("durable_one_model");
+  const auto moved = [](Timestamp t) {  // Another route after 5 periods.
+    return Route(t < 5 * kPeriod ? 0 : 4, t);
+  };
+  size_t live_patterns = 0;
+  {
+    MovingObjectStore store(Options(dir));
+    for (Timestamp t = 0; t < 15 * kPeriod; ++t) {
+      ASSERT_TRUE(store.ReportLocation(0, moved(t)).ok());
+    }
+    auto model = store.GetPredictor(0);
+    ASSERT_TRUE(model.ok());
+    live_patterns = (*model)->patterns().size();
+  }
+  auto restored = MovingObjectStore::LoadFromDirectory(dir, Options(dir));
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  auto first = restored->GetPredictor(0);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ((*first)->patterns().size(), live_patterns);
+  const uint64_t frozen_bytes =
+      restored->metrics_snapshot().counter("tpt.frozen_bytes");
+  EXPECT_EQ(frozen_bytes, (*first)->summary().tpt_frozen_bytes);
+  for (Timestamp t = 15 * kPeriod; t < 25 * kPeriod; ++t) {
+    ASSERT_TRUE(restored->ReportLocation(0, moved(t)).ok());
+  }
+  auto later = restored->GetPredictor(0);
+  ASSERT_TRUE(later.ok());
+  EXPECT_EQ(later->get(), first->get());
+  EXPECT_EQ(restored->metrics_snapshot().counter("tpt.frozen_bytes"),
+            frozen_bytes);
 }
 
 TEST_F(DurableStoreTest, ReplayOnTopOfSnapshotMatchesUninterruptedStore) {

@@ -33,8 +33,9 @@ constexpr int kReaders = 3;
 constexpr int kObjectsPerWriter = 3;
 constexpr Timestamp kSamplesPerObject = 5 * kPeriod;
 
-/// Retrain on every completed period: maximum WithNewHistory swap (and
-/// therefore view retire) pressure per report.
+/// Inline drift rebuilds with a short window and a hair trigger: every
+/// route change (NoisySample switches routes every kRouteTicks) rebuilds
+/// and swaps the model, so model swaps and view retires keep coming.
 ObjectStoreOptions ChurnOptions() {
   ObjectStoreOptions options;
   options.predictor.regions.period = kPeriod;
@@ -45,27 +46,35 @@ ObjectStoreOptions ChurnOptions() {
   options.predictor.distant_threshold = 4;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = 2;
-  options.update_batch_periods = 1;
   options.recent_window = 4;
+  options.rebuild.incremental = true;
+  options.rebuild.background = false;
+  options.rebuild.drift_threshold = 1.0;
+  options.rebuild.miner.window_periods = 4;
   options.num_shards = 4;
   options.query_threads = 2;
   return options;
 }
 
+/// Objects alternate between two routes 400 units apart (far beyond the
+/// region-match slack) every kRouteTicks.
+constexpr Timestamp kRouteTicks = 3 * kPeriod;
+
 Point NoisySample(ObjectId id, Timestamp t, uint64_t base) {
   Random rng(base ^
              (static_cast<uint64_t>(id) * 7919 + static_cast<uint64_t>(t)));
+  const double shift = 400.0 * static_cast<double>((t / kRouteTicks) % 2);
   Point p{100.0 * static_cast<double>(t % kPeriod) + 50.0,
-          500.0 + 1000.0 * static_cast<double>(id)};
+          500.0 + shift + 1000.0 * static_cast<double>(id)};
   p.x += rng.Gaussian(0, 1.0);
   p.y += rng.Gaussian(0, 1.0);
   return p;
 }
 
 // Writers continuously swap views (every report) and models (every
-// period) and rebuild shard tables (every object creation) while readers
-// hammer all four query kinds with no lock to hide behind. Ids that do
-// not exist yet exercise the table-miss path.
+// drift rebuild) and rebuild shard tables (every object creation) while
+// readers hammer all four query kinds with no lock to hide behind. Ids
+// that do not exist yet exercise the table-miss path.
 TEST(EpochStressTest, ReadersSurviveViewSwapsAndShardRebuilds) {
   const uint64_t seed = proptest::SeedForTest(4871);
   SCOPED_TRACE(proptest::ReplayLine(seed));
@@ -186,11 +195,14 @@ TEST(EpochStressTest, ReadersSurviveViewSwapsAndShardRebuilds) {
             static_cast<uint64_t>(kWriters) * kObjectsPerWriter *
                 kSamplesPerObject - static_cast<uint64_t>(store.NumObjects()));
   EXPECT_LE(snap.counter("epoch.freed"), snap.counter("epoch.retired"));
+  // The churn really swapped models under the readers.
+  EXPECT_GE(snap.counter("rebuild.completed"),
+            static_cast<uint64_t>(kWriters * kObjectsPerWriter));
 }
 
 // Aggressive-free churn: one shard, one hot object, every report
-// retires the previous view (and every period the previous model's
-// view), while readers re-resolve the view pointer in the tightest
+// retires the previous view (and every drift rebuild the previous
+// model's view), while readers re-resolve the view pointer in the tightest
 // possible loop. Under ASan a premature free is an immediate
 // use-after-free; under TSan an unsynchronised publish is a race.
 TEST(EpochStressTest, AggressiveFreeChurnOnAHotObject) {
@@ -248,6 +260,8 @@ TEST(EpochStressTest, AggressiveFreeChurnOnAHotObject) {
   EXPECT_LE(freed, retired);
   // Everything except the final report's own retirements must be free.
   EXPECT_GE(freed + 2, static_cast<uint64_t>(kReports) - 1);
+  // The churn really swapped models under the readers.
+  EXPECT_GE(snap.counter("rebuild.completed"), 3u);
 }
 
 // Fallback reads during view swaps: every report publishes a view with

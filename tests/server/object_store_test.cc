@@ -43,7 +43,6 @@ ObjectStoreOptions Options() {
   options.predictor.distant_threshold = 8;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = 5;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
   return options;
 }
@@ -134,24 +133,30 @@ TEST(ObjectStoreTest, QueryTimeBeyondTheHorizonIsRejected) {
   EXPECT_EQ(hits->hits.size(), 1u);
 }
 
-TEST(ObjectStoreTest, IncrementalBatchesConsumeHistory) {
+TEST(ObjectStoreTest, DefaultModeKeepsOneModelPerObject) {
+  // Without drift rebuilds, the first model serves for good: more
+  // periods — even on another route — never build or swap a model.
   MovingObjectStore store(Options());
   Random rng(5);
   for (int day = 0; day < 5; ++day) {
     ASSERT_TRUE(store.ReportTrajectory(0, OnePeriod(0, &rng)).ok());
   }
-  auto predictor = store.GetPredictor(0);
-  ASSERT_TRUE(predictor.ok());
-  const size_t patterns_before = (*predictor)->summary().num_patterns;
-  // Two more periods trigger the §V-B incorporation (which may or may
-  // not add patterns, but must not disturb the model's integrity).
-  for (int day = 0; day < 2; ++day) {
-    ASSERT_TRUE(store.ReportTrajectory(0, OnePeriod(0, &rng)).ok());
+  auto first = store.GetPredictor(0);
+  ASSERT_TRUE(first.ok());
+  const uint64_t frozen_bytes =
+      store.metrics_snapshot().counter("tpt.frozen_bytes");
+  EXPECT_EQ(frozen_bytes, (*first)->summary().tpt_frozen_bytes);
+  for (int day = 0; day < 10; ++day) {
+    ASSERT_TRUE(
+        store.ReportTrajectory(0, OnePeriod(day % 2 == 0 ? 0 : 3, &rng))
+            .ok());
   }
-  predictor = store.GetPredictor(0);
-  ASSERT_TRUE(predictor.ok());
-  EXPECT_GE((*predictor)->summary().num_patterns, patterns_before);
-  EXPECT_TRUE((*predictor)->tpt().CheckInvariants().ok());
+  auto later = store.GetPredictor(0);
+  ASSERT_TRUE(later.ok());
+  EXPECT_EQ(later->get(), first->get());
+  EXPECT_EQ(store.metrics_snapshot().counter("tpt.frozen_bytes"),
+            frozen_bytes);
+  EXPECT_EQ(store.HistoryLength(0), static_cast<size_t>(15 * kPeriod));
 }
 
 TEST(ObjectStoreTest, PredictiveRangeQueryFindsTheRightObjects) {

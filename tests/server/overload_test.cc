@@ -51,7 +51,6 @@ ObjectStoreOptions BaseOptions() {
   options.predictor.distant_threshold = 8;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = 5;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
   return options;
 }
@@ -142,9 +141,10 @@ TEST(OverloadTest, AdmissionGatesEveryEntryPoint) {
   ASSERT_EQ(batch.size(), 1u);
   expect_rejected(batch[0].status());
 
-  const OverloadStats stats = store.overload_stats();
-  EXPECT_EQ(stats.shed, static_cast<uint64_t>(rejections));
-  EXPECT_EQ(stats.admitted, 5u);
+  const MetricsSnapshot snap = store.metrics_snapshot();
+  EXPECT_EQ(StoreOpTotal(snap, "store.shed"),
+            static_cast<uint64_t>(rejections));
+  EXPECT_EQ(StoreOpTotal(snap, "store.admitted"), 5u);
   EXPECT_EQ(store.InFlight(), 0);
 }
 
@@ -200,7 +200,8 @@ TEST(OverloadTest, LowDeadlineHeadroomShedsToRmfStampedOverloaded) {
   EXPECT_EQ(hits->hits[0].prediction.degraded,
             DegradedReason::kOverloaded);
 
-  EXPECT_GE(store.overload_stats().degraded_overload, 2u);
+  EXPECT_GE(store.metrics_snapshot().counter("store.degraded_predictions"),
+            2u);
 }
 
 TEST(OverloadTest, OverloadedAnswersKeepCounterInvariants) {
@@ -327,8 +328,8 @@ TEST(OverloadTest, SaturatingLoadIsShedOrDegradedNeverDropped) {
   // And the store drains to idle.
   EXPECT_EQ(store.InFlight(), 0);
   EXPECT_EQ(store.PoolQueueDepth(), 0u);
-  const OverloadStats stats = store.overload_stats();
-  EXPECT_EQ(stats.shed, static_cast<uint64_t>(shed.load()));
+  EXPECT_EQ(StoreOpTotal(store.metrics_snapshot(), "store.shed"),
+            static_cast<uint64_t>(shed.load()));
   // Healthy shards: the breaker never tripped under pure overload.
   for (int s = 0; s < store.num_shards(); ++s) {
     EXPECT_EQ(store.BreakerState(s), CircuitBreaker::State::kClosed);

@@ -48,7 +48,6 @@ ObjectStoreOptions BaseOptions() {
   options.predictor.distant_threshold = 8;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = 5;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
   options.num_shards = 2;
   options.query_threads = 1;  // Inline fan-out: deterministic accounting.
@@ -86,11 +85,8 @@ TEST(QueryPipelineTest, PerOpAdmittedCountersTrackEveryEntryPoint) {
   EXPECT_EQ(snap.histogram("op.predict_us")->count, 2u);
   EXPECT_EQ(snap.histogram("op.range_us")->count, 1u);
   EXPECT_EQ(snap.histogram("op.nearest_us")->count, 1u);
-
-  // The metrics agree with the overload counters: one accounting point.
-  const OverloadStats stats = store.overload_stats();
-  EXPECT_EQ(stats.admitted, 8u);
-  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(StoreOpTotal(snap, "store.admitted"), 8u);
+  EXPECT_EQ(StoreOpTotal(snap, "store.shed"), 0u);
 }
 
 TEST(QueryPipelineTest, ShedCallsCountUnderTheRejectedOp) {
@@ -109,9 +105,8 @@ TEST(QueryPipelineTest, ShedCallsCountUnderTheRejectedOp) {
   const MetricsSnapshot snap = store.metrics_snapshot();
   EXPECT_EQ(snap.counter("store.admitted.predict"), 1u);
   EXPECT_EQ(snap.counter("store.shed.predict"), 1u);
-  const OverloadStats stats = store.overload_stats();
-  EXPECT_EQ(stats.admitted, 1u);
-  EXPECT_EQ(stats.shed, 1u);
+  EXPECT_EQ(StoreOpTotal(snap, "store.admitted"), 1u);
+  EXPECT_EQ(StoreOpTotal(snap, "store.shed"), 1u);
   // The pipeline released its ticket on every path.
   EXPECT_EQ(store.InFlight(), 0);
 }
@@ -201,7 +196,6 @@ TEST(QueryPipelineTest, RejectedReportCountsWithoutConsumingAdmission) {
   // Validation precedes admission: nothing was admitted or shed.
   EXPECT_EQ(snap.counter("store.admitted.report"), 0u);
   EXPECT_EQ(snap.counter("store.shed.report"), 0u);
-  EXPECT_EQ(store.overload_stats().reports_rejected, 1u);
   EXPECT_EQ(store.RejectedReports(7), 1u);
 }
 
@@ -226,7 +220,6 @@ TEST(QueryPipelineTest, DegradedPredictionsCountPerPredictionInMetrics) {
 
   const MetricsSnapshot snap = store.metrics_snapshot();
   EXPECT_EQ(snap.counter("store.degraded_predictions"), 1u);
-  EXPECT_EQ(store.overload_stats().degraded_overload, 1u);
 }
 
 // ---- Traces ----------------------------------------------------------------

@@ -41,7 +41,7 @@
 //       shed-to-RMF traffic) against a store and dump the full
 //       observability picture as JSON: the metrics snapshot (per-op
 //       admitted/shed counters, pipeline stage latency histograms, TPT
-//       traversal effort), the OverloadStats aggregate, and a per-stage
+//       traversal effort), the overload-ladder totals, and a per-stage
 //       latency breakdown (see docs/OBSERVABILITY.md).
 //
 //   serve --dir PATH [--host H] [--port N] [--port-file F] [--wal 0|1]
@@ -415,7 +415,6 @@ int RunThroughput(Args args) {
   options.predictor.distant_threshold = 8;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = kWarmPeriods;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
   options.num_shards = shards;
   options.query_threads = threads;
@@ -501,7 +500,6 @@ int RunFaultcheck(Args args) {
   options.predictor.distant_threshold = 8;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = 5;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
 
   const auto route = [](ObjectId id, Timestamp t) -> Point {
@@ -701,7 +699,6 @@ int RunStats(Args args) {
   options.predictor.distant_threshold = 8;
   options.predictor.region_match_slack = 8.0;
   options.min_training_periods = kWarmPeriods;
-  options.update_batch_periods = 2;
   options.recent_window = 5;
   options.num_shards = shards;
   options.query_threads = threads;
@@ -760,10 +757,10 @@ int RunStats(Args args) {
   }
 
   const MetricsSnapshot metrics = store.metrics_snapshot();
-  const OverloadStats overload = store.overload_stats();
 
-  // One JSON document: workload parameters, the overload aggregate, a
-  // per-stage latency breakdown, and the full metrics snapshot.
+  // One JSON document: workload parameters, the overload-ladder totals
+  // (read from the metrics), a per-stage latency breakdown, and the full
+  // metrics snapshot.
   std::string json = "{\n  \"workload\": {";
   json += "\"seed\": " + std::to_string(seed);
   json += ", \"shards\": " + std::to_string(shards);
@@ -771,15 +768,16 @@ int RunStats(Args args) {
   json += ", \"objects\": " + std::to_string(objects);
   json += ", \"ops\": " + std::to_string(ops);
   json += "},\n  \"overload\": {";
-  json += "\"admitted\": " + std::to_string(overload.admitted);
-  json += ", \"shed\": " + std::to_string(overload.shed);
+  json += "\"admitted\": " +
+          std::to_string(StoreOpTotal(metrics, "store.admitted"));
+  json += ", \"shed\": " + std::to_string(StoreOpTotal(metrics, "store.shed"));
   json += ", \"degraded_overload\": " +
-          std::to_string(overload.degraded_overload);
-  json += ", \"trains_deferred\": " +
-          std::to_string(overload.trains_deferred);
-  json += ", \"shards_skipped\": " + std::to_string(overload.shards_skipped);
-  json += ", \"reports_rejected\": " +
-          std::to_string(overload.reports_rejected);
+          std::to_string(metrics.counter("store.degraded_predictions"));
+  for (const char* name :
+       {"trains_deferred", "shards_skipped", "reports_rejected"}) {
+    json += std::string(", \"") + name + "\": " +
+            std::to_string(metrics.counter(std::string("store.") + name));
+  }
   json += "},\n  \"stages\": {";
   bool first_stage = true;
   for (const char* stage : {"admit", "plan", "fanout", "merge"}) {
