@@ -1,15 +1,20 @@
 // Micro-benchmarks for the TPT search hot loop: the mutable pointer tree
 // vs the frozen arena, across pattern-set sizes and both search modes,
-// plus the raw word-wise Intersect/Contain primitives on packed blocks.
-// This is the bench behind the PR that introduced FrozenTpt — run it on
-// both sides of a hot-loop change before trusting the fleet numbers.
+// plus the raw word-wise Intersect/Contain primitives on packed blocks,
+// and "search + score" cases that rank every frozen hit the way FQP/BQP
+// do (premise similarity over the hit's arena words, and BQP's
+// consequence time), so the scoring cost shows beside the scan cost.
+// Run it on both sides of a hot-loop change before trusting the fleet
+// numbers.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "bitset/word_ops.h"
 #include "common/random.h"
+#include "core/similarity.h"
 #include "tpt/frozen_tpt.h"
 #include "tpt/tpt_tree.h"
 
@@ -75,13 +80,48 @@ void BM_FrozenSearch(benchmark::State& state, SearchMode mode) {
   HPM_CHECK(tree.ok());
   const FrozenTpt frozen = FrozenTpt::Freeze(*tree);
   const std::vector<PatternKey> queries = QueryPool(12);
-  std::vector<const IndexedPattern*> hits;
+  std::vector<const FrozenLeaf*> hits;
   size_t q = 0;
   for (auto _ : state) {
     frozen.SearchInto(queries[q], mode, &hits);
     benchmark::DoNotOptimize(hits.data());
     q = (q + 1) % queries.size();
   }
+}
+
+/// Search, then score every hit from the arena: Sr * c for FQP, and for
+/// BQP also the consequence time id (the highest consequence bit).
+void BM_FrozenSearchScore(benchmark::State& state, SearchMode mode) {
+  const std::vector<IndexedPattern> patterns =
+      RandomPatterns(static_cast<int>(state.range(0)), 11);
+  StatusOr<TptTree> tree = TptTree::BulkLoad(patterns);
+  HPM_CHECK(tree.ok());
+  const FrozenTpt frozen = FrozenTpt::Freeze(*tree);
+  const std::vector<PatternKey> queries = QueryPool(12);
+  std::vector<const FrozenLeaf*> hits;
+  size_t q = 0;
+  size_t scored = 0;
+  for (auto _ : state) {
+    const PatternKey& query = queries[q];
+    frozen.SearchInto(query, mode, &hits);
+    double best = 0.0;
+    for (const FrozenLeaf* hit : hits) {
+      double score =
+          PremiseSimilarity(frozen.PremiseWords(*hit), query.premise().words(),
+                            frozen.premise_words(), WeightFunction::kLinear) *
+          hit->confidence;
+      if (mode == SearchMode::kConsequenceOnly) {
+        score += wordops::HighestSetBit(frozen.ConsequenceWords(*hit),
+                                        frozen.consequence_words());
+      }
+      best = std::max(best, score);
+    }
+    benchmark::DoNotOptimize(best);
+    scored += hits.size();
+    q = (q + 1) % queries.size();
+  }
+  state.counters["hits_per_query"] = benchmark::Counter(
+      static_cast<double>(scored), benchmark::Counter::kAvgIterations);
 }
 
 void BM_TptTreeSearchFqp(benchmark::State& state) {
@@ -96,10 +136,18 @@ void BM_FrozenTptSearchFqp(benchmark::State& state) {
 void BM_FrozenTptSearchBqp(benchmark::State& state) {
   BM_FrozenSearch(state, SearchMode::kConsequenceOnly);
 }
+void BM_FrozenTptSearchScoreFqp(benchmark::State& state) {
+  BM_FrozenSearchScore(state, SearchMode::kPremiseAndConsequence);
+}
+void BM_FrozenTptSearchScoreBqp(benchmark::State& state) {
+  BM_FrozenSearchScore(state, SearchMode::kConsequenceOnly);
+}
 BENCHMARK(BM_TptTreeSearchFqp)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_FrozenTptSearchFqp)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_TptTreeSearchBqp)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_FrozenTptSearchBqp)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_FrozenTptSearchScoreFqp)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_FrozenTptSearchScoreBqp)->Arg(1000)->Arg(10000)->Arg(100000);
 
 /// The raw primitives the hot loop is made of, on a contiguous run of
 /// packed key blocks — entries/second here is the ceiling for any

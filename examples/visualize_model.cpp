@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/hybrid_predictor.h"
 #include "datagen/datasets.h"
@@ -48,13 +49,13 @@ int main(int argc, char** argv) {
   // monitoring system would know from the live region matches).
   Timestamp now = 59 * gen.period + 40;
   size_t best_matches = 0;
+  std::vector<int> visited;
   for (int day = 59; day >= 55; --day) {
     const Timestamp candidate = day * gen.period + 40;
     const auto recent = dataset.trajectory.RecentMovements(candidate, 10);
-    const size_t matches =
-        MapMovementsToRegions(predictor->regions(), recent,
-                              options.region_match_slack)
-            .size();
+    MapMovementsToRegions(predictor->regions(), recent,
+                          options.region_match_slack, &visited);
+    const size_t matches = visited.size();
     if (matches > best_matches) {
       best_matches = matches;
       now = candidate;

@@ -62,13 +62,7 @@ size_t DynamicBitset::Count() const {
 }
 
 int DynamicBitset::HighestSetBit() const {
-  for (size_t i = words_.size(); i-- > 0;) {
-    if (words_[i] != 0) {
-      return static_cast<int>(i * kBitsPerWord + kBitsPerWord - 1 -
-                              static_cast<size_t>(std::countl_zero(words_[i])));
-    }
-  }
-  return -1;
+  return wordops::HighestSetBit(words_.data(), words_.size());
 }
 
 std::vector<size_t> DynamicBitset::SetBits() const {

@@ -46,6 +46,19 @@ inline size_t Popcount(const uint64_t* a, size_t n) {
   return total;
 }
 
+/// Position of the highest set bit in the run, or -1 when none is set —
+/// the kernel under DynamicBitset::HighestSetBit and BQP's consequence
+/// time lookup on a frozen arena block.
+inline int HighestSetBit(const uint64_t* a, size_t n) {
+  for (size_t i = n; i-- > 0;) {
+    if (a[i] != 0) {
+      return static_cast<int>(i * 64 + 63 -
+                              static_cast<size_t>(std::countl_zero(a[i])));
+    }
+  }
+  return -1;
+}
+
 /// Number of bits set in `a` but not in `b` (the paper's Difference).
 inline size_t DifferenceCount(const uint64_t* a, const uint64_t* b,
                               size_t n) {

@@ -27,8 +27,8 @@
 #include "common/epoch.h"
 #include "common/trace.h"
 #include "core/query.h"
+#include "tpt/frozen_tpt.h"
 #include "tpt/pattern_key.h"
-#include "tpt/tpt_tree.h"
 
 namespace hpm {
 
@@ -37,7 +37,7 @@ namespace hpm {
 /// pattern side.
 struct PredictScratch {
   /// TPT search output buffer.
-  std::vector<const IndexedPattern*> tpt_hits;
+  std::vector<const FrozenLeaf*> tpt_hits;
 
   /// Candidate predictions prior to ranking.
   std::vector<Prediction> candidates;

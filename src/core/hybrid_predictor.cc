@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <utility>
 
+#include "bitset/word_ops.h"
 #include "common/fault_injection.h"
 #include "common/stopwatch.h"
 #include "core/exec_context.h"
@@ -123,18 +125,15 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::Assemble(
   return predictor;
 }
 
-std::vector<int> HybridPredictor::QueryPremise(
-    const PredictiveQuery& query) const {
-  const std::vector<TimedPoint>& recent = query.recent_movements;
+void HybridPredictor::QueryPremise(const PredictiveQuery& query,
+                                   std::vector<int>* premise) const {
+  std::span<const TimedPoint> recent = query.recent_movements;
   if (options_.premise_horizon > 0 &&
       recent.size() > static_cast<size_t>(options_.premise_horizon)) {
-    const std::vector<TimedPoint> window(
-        recent.end() - options_.premise_horizon, recent.end());
-    return MapMovementsToRegions(regions_, window,
-                                 options_.region_match_slack);
+    recent = recent.last(static_cast<size_t>(options_.premise_horizon));
   }
-  return MapMovementsToRegions(regions_, recent,
-                               options_.region_match_slack);
+  MapMovementsToRegions(regions_, recent, options_.region_match_slack,
+                        premise);
 }
 
 std::vector<Prediction> HybridPredictor::RankAndTake(
@@ -221,6 +220,21 @@ StatusOr<std::vector<Prediction>> RunToCompletion(
   return task.TakeResult();
 }
 
+/// The unranked pattern answer for TPT hit `hit` scored `score`.
+Prediction PatternCandidate(const FrequentRegionSet& regions,
+                            const FrozenLeaf& hit, double score) {
+  const FrequentRegion& region = regions.Region(hit.consequence_region);
+  Prediction p;
+  p.location = region.center;
+  p.uncertainty = region.mbr;
+  p.score = score;
+  p.source = PredictionSource::kPattern;
+  p.pattern_id = hit.pattern_id;
+  p.consequence_region = hit.consequence_region;
+  p.confidence = hit.confidence;
+  return p;
+}
+
 }  // namespace
 
 void HybridPredictor::PredictTask::CompleteWith(
@@ -288,7 +302,7 @@ bool HybridPredictor::PredictTask::Start(const HybridPredictor& predictor,
 
   period_ = predictor.regions_.period();
   tq_offset_ = query.query_time % period_;
-  premise_ = predictor.QueryPremise(query);
+  predictor.QueryPremise(query, &premise_);
 
   if (route == Route::kForward) {
     if (!premise_.empty() &&
@@ -343,23 +357,18 @@ StatusOr<std::vector<Prediction>> HybridPredictor::PredictTask::TakeResult() {
 void HybridPredictor::PredictTask::FinishForwardSearch() {
   if (query_->context != nullptr) query_->context->AddTptStats(search_stats_);
   PredictScratch& s = *scratch_;
+  const FrozenTpt& tpt = predictor_->tpt_;
   s.candidates.clear();
   s.candidates.reserve(s.tpt_hits.size());
-  for (const IndexedPattern* hit : s.tpt_hits) {
+  for (const FrozenLeaf* hit : s.tpt_hits) {
     // Equation 2: Sp = Sr * c (premise similarity and confidence are
-    // independent evidences -> compound probability).
-    const double sr =
-        PremiseSimilarity(hit->key.premise(), s.query_key.premise(),
-                          predictor_->options_.weight_function);
-    Prediction p;
-    p.location = predictor_->regions_.Region(hit->consequence_region).center;
-    p.uncertainty = predictor_->regions_.Region(hit->consequence_region).mbr;
-    p.score = sr * hit->confidence;
-    p.source = PredictionSource::kPattern;
-    p.pattern_id = hit->pattern_id;
-    p.consequence_region = hit->consequence_region;
-    p.confidence = hit->confidence;
-    s.candidates.push_back(p);
+    // independent evidences -> compound probability). StartSearch checked
+    // the query premise width against the arena's.
+    const double sr = PremiseSimilarity(
+        tpt.PremiseWords(*hit), s.query_key.premise().words(),
+        tpt.premise_words(), predictor_->options_.weight_function);
+    s.candidates.push_back(PatternCandidate(predictor_->regions_, *hit,
+                                            sr * hit->confidence));
   }
   if (!s.candidates.empty()) {
     predictor_->counters_.pattern_answers.fetch_add(
@@ -438,28 +447,25 @@ bool HybridPredictor::PredictTask::EndBackwardRound(bool ran_search) {
   }
   PredictScratch& s = *scratch_;
   if (!s.tpt_hits.empty()) {
+    const FrozenTpt& tpt = predictor_->tpt_;
+    // A consequence-only search never compared premise widths; the
+    // scoring below reads the query's premise words against the arena's.
+    HPM_CHECK(s.query_key.premise().size() == tpt.premise_bits());
     s.candidates.clear();
     s.candidates.reserve(s.tpt_hits.size());
-    for (const IndexedPattern* hit : s.tpt_hits) {
-      const int time_id = hit->key.consequence().HighestSetBit();
+    for (const FrozenLeaf* hit : s.tpt_hits) {
+      const int time_id = wordops::HighestSetBit(tpt.ConsequenceWords(*hit),
+                                                 tpt.consequence_words());
       const Timestamp t = predictor_->key_tables_.OffsetForTimeId(time_id);
       const double sc = ConsequenceSimilarity(t, tq_offset_, t_eps_);
-      const double sr =
-          PremiseSimilarity(hit->key.premise(), s.query_key.premise(),
-                            predictor_->options_.weight_function);
+      const double sr = PremiseSimilarity(
+          tpt.PremiseWords(*hit), s.query_key.premise().words(),
+          tpt.premise_words(), predictor_->options_.weight_function);
       // Equation 5: Sp = (Sr * d / (tq - tc) + Sc) * c — the premise
       // evidence is penalised as the prediction length grows.
-      Prediction p;
-      p.location =
-          predictor_->regions_.Region(hit->consequence_region).center;
-      p.uncertainty =
-          predictor_->regions_.Region(hit->consequence_region).mbr;
-      p.score = (sr * premise_penalty_ + sc) * hit->confidence;
-      p.source = PredictionSource::kPattern;
-      p.pattern_id = hit->pattern_id;
-      p.consequence_region = hit->consequence_region;
-      p.confidence = hit->confidence;
-      s.candidates.push_back(p);
+      s.candidates.push_back(
+          PatternCandidate(predictor_->regions_, *hit,
+                           (sr * premise_penalty_ + sc) * hit->confidence));
     }
     predictor_->counters_.pattern_answers.fetch_add(
         1, std::memory_order_relaxed);

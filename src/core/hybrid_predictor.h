@@ -324,8 +324,10 @@ class HybridPredictor {
       std::vector<TrajectoryPattern> patterns, KeyTables tables,
       TrainingSummary summary);
 
-  /// Maps recent movements to visited frequent regions (query premise).
-  std::vector<int> QueryPremise(const PredictiveQuery& query) const;
+  /// Maps recent movements to visited frequent regions (query premise),
+  /// refilling `*premise` in place.
+  void QueryPremise(const PredictiveQuery& query,
+                    std::vector<int>* premise) const;
 
   /// The graceful-degradation answer: the RMF motion-function prediction
   /// stamped with `reason`, counted as a (degraded) motion fallback.

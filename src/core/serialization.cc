@@ -13,6 +13,7 @@
 // itself is written via AtomicWriteFile, so a crashed save leaves the
 // previous model intact rather than a prefix.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -375,7 +376,7 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
                             path);
   }
   std::vector<uint8_t> indexed_once(patterns.size(), 0);
-  for (const IndexedPattern& entry : frozen->patterns()) {
+  for (const FrozenLeaf& entry : frozen->patterns()) {
     if (entry.pattern_id < 0 ||
         static_cast<size_t>(entry.pattern_id) >= patterns.size() ||
         indexed_once[static_cast<size_t>(entry.pattern_id)] != 0) {
@@ -384,9 +385,18 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
     indexed_once[static_cast<size_t>(entry.pattern_id)] = 1;
     const TrajectoryPattern& p =
         patterns[static_cast<size_t>(entry.pattern_id)];
+    // The leaf's key exists only as arena words; the widths agree
+    // (checked above), so they compare word for word with the re-encoded
+    // key.
+    const PatternKey key = tables.EncodePattern(p, regions);
+    const auto arena_holds = [](const DynamicBitset& bits,
+                                const uint64_t* words) {
+      return std::equal(bits.words(), bits.words() + bits.num_words(), words);
+    };
     if (entry.confidence != p.confidence ||
         entry.consequence_region != p.consequence ||
-        !(entry.key == tables.EncodePattern(p, regions))) {
+        !arena_holds(key.premise(), frozen->PremiseWords(entry)) ||
+        !arena_holds(key.consequence(), frozen->ConsequenceWords(entry))) {
       return Status::DataLoss("frozen TPT disagrees with pattern set: " +
                               path);
     }

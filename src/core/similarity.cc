@@ -1,7 +1,9 @@
 #include "core/similarity.h"
 
+#include <bit>
 #include <cmath>
 
+#include "bitset/word_ops.h"
 #include "common/status.h"
 
 namespace hpm {
@@ -48,18 +50,30 @@ double PositionWeight(WeightFunction fn, int i, int size) {
 double PremiseSimilarity(const DynamicBitset& rk, const DynamicBitset& rkq,
                          WeightFunction fn) {
   HPM_CHECK(rk.size() == rkq.size());
-  const std::vector<size_t> bits = rk.SetBits();
-  if (bits.empty()) return 0.0;
-  const int size = static_cast<int>(bits.size());
+  return PremiseSimilarity(rk.words(), rkq.words(), rk.num_words(), fn);
+}
+
+double PremiseSimilarity(const uint64_t* rk, const uint64_t* rkq,
+                         size_t num_words, WeightFunction fn) {
+  const int size = static_cast<int>(wordops::Popcount(rk, num_words));
+  if (size == 0) return 0.0;
 
   double total = 0.0;
   for (int j = 1; j <= size; ++j) total += RawWeight(fn, j);
 
+  // Only rk bits also set in rkq contribute, in ascending position order.
+  // A shared bit's 1-based rank i among rk's set bits is the count of rk
+  // bits below it plus one.
   double similarity = 0.0;
-  for (int i = 1; i <= size; ++i) {
-    if (rkq.Test(bits[static_cast<size_t>(i - 1)])) {
+  int below = 0;
+  for (size_t w = 0; w < num_words; ++w) {
+    for (uint64_t common = rk[w] & rkq[w]; common != 0;
+         common &= common - 1) {
+      const uint64_t lower = (common & (~common + 1)) - 1;
+      const int i = below + std::popcount(rk[w] & lower) + 1;
       similarity += RawWeight(fn, i) / total;
     }
+    below += std::popcount(rk[w]);
   }
   return similarity;
 }

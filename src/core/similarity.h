@@ -3,6 +3,9 @@
 #ifndef HPM_CORE_SIMILARITY_H_
 #define HPM_CORE_SIMILARITY_H_
 
+#include <cstddef>
+#include <cstdint>
+
 #include "bitset/dynamic_bitset.h"
 #include "geo/trajectory.h"
 
@@ -35,6 +38,13 @@ double PositionWeight(WeightFunction fn, int i, int size);
 /// Precondition: rk.size() == rkq.size().
 double PremiseSimilarity(const DynamicBitset& rk, const DynamicBitset& rkq,
                          WeightFunction fn);
+
+/// The same Sr over packed word views — `num_words` words each, zero tail
+/// bits — such as a premise block of the FrozenTpt key arena. Allocates
+/// nothing, and adds the same weights in the same order as the bitset
+/// overload (which delegates here), so results are bit-identical.
+double PremiseSimilarity(const uint64_t* rk, const uint64_t* rkq,
+                         size_t num_words, WeightFunction fn);
 
 /// Consequence similarity Sc (Equation 3): 1 - |tq - t| / (t_eps + 1),
 /// clamped to [0, 1]. `t` is the pattern's consequence offset, `tq` the

@@ -30,10 +30,10 @@ std::vector<Transaction> BuildTransactions(
   return transactions;
 }
 
-std::vector<int> MapMovementsToRegions(const FrequentRegionSet& regions,
-                                       const std::vector<TimedPoint>& recent,
-                                       double slack) {
-  std::vector<int> ids;
+void MapMovementsToRegions(const FrequentRegionSet& regions,
+                           std::span<const TimedPoint> recent, double slack,
+                           std::vector<int>* ids) {
+  ids->clear();
   const Timestamp period = regions.period();
   for (const TimedPoint& tp : recent) {
     Timestamp offset = tp.time;
@@ -42,11 +42,10 @@ std::vector<int> MapMovementsToRegions(const FrequentRegionSet& regions,
       if (offset < 0) offset += period;
     }
     const int id = regions.FindNearbyRegion(offset, tp.location, slack);
-    if (id >= 0) ids.push_back(id);
+    if (id >= 0) ids->push_back(id);
   }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
+  std::sort(ids->begin(), ids->end());
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
 }
 
 }  // namespace hpm

@@ -9,6 +9,7 @@
 #ifndef HPM_MINING_TRANSACTION_H_
 #define HPM_MINING_TRANSACTION_H_
 
+#include <span>
 #include <vector>
 
 #include "bitset/dynamic_bitset.h"
@@ -54,12 +55,13 @@ std::vector<Transaction> BuildTransactions(
 
 /// Maps an object's recent movements onto frequent regions: for each
 /// movement, finds the region at its time offset (time mod period) whose
-/// MBR contains (or is within `slack` of) the location. Returns the
-/// matched region ids, de-duplicated, ascending. This is how a query's
-/// premise is derived at prediction time (paper §V-C).
-std::vector<int> MapMovementsToRegions(const FrequentRegionSet& regions,
-                                       const std::vector<TimedPoint>& recent,
-                                       double slack = 0.0);
+/// MBR contains (or is within `slack` of) the location. Refills `*ids`
+/// with the matched region ids, de-duplicated, ascending (reusing its
+/// capacity). This is how a query's premise is derived at prediction
+/// time (paper §V-C).
+void MapMovementsToRegions(const FrequentRegionSet& regions,
+                           std::span<const TimedPoint> recent, double slack,
+                           std::vector<int>* ids);
 
 }  // namespace hpm
 

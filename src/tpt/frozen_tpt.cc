@@ -163,9 +163,12 @@ FrozenTpt FrozenTpt::Freeze(const TptTree& tree) {
     }
     if (node->is_leaf) {
       for (uint32_t i = 0; i < n; ++i) {
+        const IndexedPattern& p = node->patterns[i];
         frozen.entry_target_[first_entry + i] =
             static_cast<uint32_t>(frozen.patterns_.size());
-        frozen.patterns_.push_back(node->patterns[i]);
+        frozen.patterns_.push_back(FrozenLeaf{p.confidence,
+                                              p.consequence_region,
+                                              p.pattern_id, first_entry + i});
       }
     } else {
       for (uint32_t i = 0; i < n; ++i) {
@@ -241,7 +244,7 @@ void FrozenTpt::SearchCursor::Prefetch() const {
 
 FrozenTpt::SearchCursor FrozenTpt::StartSearch(
     const PatternKey& query, SearchMode mode,
-    std::vector<const IndexedPattern*>* out, TptSearchStats* stats) const {
+    std::vector<const FrozenLeaf*>* out, TptSearchStats* stats) const {
   out->clear();
   SearchCursor cursor;
   if (patterns_.empty()) return cursor;
@@ -260,30 +263,33 @@ FrozenTpt::SearchCursor FrozenTpt::StartSearch(
   return cursor;
 }
 
-std::vector<const IndexedPattern*> FrozenTpt::Search(
+std::vector<const FrozenLeaf*> FrozenTpt::Search(
     const PatternKey& query, SearchMode mode, TptSearchStats* stats) const {
-  std::vector<const IndexedPattern*> out;
+  std::vector<const FrozenLeaf*> out;
   SearchInto(query, mode, &out, stats);
   return out;
 }
 
 void FrozenTpt::SearchInto(const PatternKey& query, SearchMode mode,
-                           std::vector<const IndexedPattern*>* out,
+                           std::vector<const FrozenLeaf*>* out,
                            TptSearchStats* stats) const {
   SearchCursor cursor = StartSearch(query, mode, out, stats);
   while (!cursor.Step(SIZE_MAX)) {
   }
 }
 
+PatternKey FrozenTpt::KeyOf(const FrozenLeaf& leaf) const {
+  return PatternKey(
+      DynamicBitset::FromWords(PremiseWords(leaf), premise_words_,
+                               premise_bits_),
+      DynamicBitset::FromWords(ConsequenceWords(leaf), consequence_words_,
+                               consequence_bits_));
+}
+
 size_t FrozenTpt::MemoryBytes() const {
-  size_t bytes = sizeof(FrozenTpt);
-  bytes += nodes_.size() * sizeof(NodeRef);
-  bytes += entry_target_.size() * sizeof(uint32_t);
-  bytes += key_words_.AllocatedBytes();
-  for (const IndexedPattern& p : patterns_) {
-    bytes += sizeof(IndexedPattern) + p.key.MemoryBytes();
-  }
-  return bytes;
+  return sizeof(FrozenTpt) + nodes_.size() * sizeof(NodeRef) +
+         entry_target_.size() * sizeof(uint32_t) +
+         key_words_.AllocatedBytes() + patterns_.size() * sizeof(FrozenLeaf);
 }
 
 Status FrozenTpt::CheckInvariants() const {
@@ -329,7 +335,7 @@ void FrozenTpt::AppendTo(std::string* out) const {
   for (size_t w = 0; w < key_words_.size(); ++w) {
     AppendU64(out, key_words_.data()[w]);
   }
-  for (const IndexedPattern& p : patterns_) {
+  for (const FrozenLeaf& p : patterns_) {
     AppendF64(out, p.confidence);
     AppendI32(out, p.consequence_region);
     AppendI32(out, p.pattern_id);
@@ -480,13 +486,11 @@ StatusOr<FrozenTpt> FrozenTpt::Parse(const char* data, size_t size,
   for (size_t w = 0; w < key_words.size(); ++w) {
     HPM_CHECK(reader.ReadU64(&key_words.data()[w]));
   }
-  std::vector<double> confidences(num_patterns);
-  std::vector<int32_t> regions(num_patterns);
-  std::vector<int32_t> pattern_ids(num_patterns);
-  for (uint32_t p = 0; p < num_patterns; ++p) {
-    HPM_CHECK(reader.ReadF64(&confidences[p]) &&
-              reader.ReadI32(&regions[p]) &&
-              reader.ReadI32(&pattern_ids[p]));
+  std::vector<FrozenLeaf> leaves(num_patterns);
+  for (FrozenLeaf& leaf : leaves) {
+    HPM_CHECK(reader.ReadF64(&leaf.confidence) &&
+              reader.ReadI32(&leaf.consequence_region) &&
+              reader.ReadI32(&leaf.pattern_id));
   }
 
   const size_t body_end = reader.consumed();
@@ -520,23 +524,14 @@ StatusOr<FrozenTpt> FrozenTpt::Parse(const char* data, size_t size,
   frozen.premise_words_ = static_cast<uint32_t>(premise_words);
   frozen.consequence_words_ = static_cast<uint32_t>(consequence_words);
   frozen.height_ = height;
-  frozen.patterns_.resize(num_patterns);
   for (const NodeRef& node : nodes) {
     if (node.is_leaf == 0) continue;
     for (uint32_t i = 0; i < node.num_entries; ++i) {
       const uint32_t entry = node.first_entry + i;
-      const uint64_t* block = key_words.data() + entry * stride;
-      IndexedPattern& p = frozen.patterns_[targets[entry]];
-      p.key = PatternKey(
-          DynamicBitset::FromWords(block + consequence_words, premise_words,
-                                   premise_bits),
-          DynamicBitset::FromWords(block, consequence_words,
-                                   consequence_bits));
-      p.confidence = confidences[targets[entry]];
-      p.consequence_region = regions[targets[entry]];
-      p.pattern_id = pattern_ids[targets[entry]];
+      leaves[targets[entry]].entry = entry;
     }
   }
+  frozen.patterns_ = std::move(leaves);
   frozen.nodes_ = std::move(nodes);
   frozen.entry_target_ = std::move(targets);
   frozen.key_words_ = std::move(key_words);

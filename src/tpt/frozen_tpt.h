@@ -14,19 +14,26 @@
 //   key_words_    every entry's signature packed into ONE contiguous
 //                 64-byte-aligned uint64 arena: entry e occupies
 //                 [e*stride, (e+1)*stride) with its consequence words
-//                 first, then its premise words
-//   patterns_     leaf payloads (key, confidence, consequence region,
-//                 pattern id) in leaf-entry order — Search returns
-//                 pointers into this array
+//                 first, then its premise words. This is the only copy
+//                 of any key, leaf keys included.
+//   patterns_     lean leaf payloads (FrozenLeaf: confidence,
+//                 consequence region, pattern id, arena entry index) in
+//                 leaf-entry order — Search returns pointers into this
+//                 array, and a hit's key words are read back from the
+//                 arena through its entry index
 //
 // so a node's entries are one contiguous block run and the
 // Intersect/Contain hot loop is a branch-light word-wise AND+popcount
 // scan (wordops primitives — the same functions the mutable PatternKey
-// predicates call) with prefetch of the upcoming blocks.
+// predicates call) with prefetch of the upcoming blocks. Query scoring
+// (premise similarity, BQP's consequence time) reads the hit's block —
+// just scanned, so still in cache — through PremiseWords /
+// ConsequenceWords; KeyOf materialises a PatternKey only for tests and
+// the model loader's cross-check.
 //
 // Search visits nodes, tests entries, and emits hits in exactly the
 // mutable tree's order; prop_tpt_frozen_test proves the results (ids,
-// confidences, order) and the TptSearchStats pruning counters
+// confidences, keys, order) and the TptSearchStats pruning counters
 // bit-identical on randomized pattern sets in both SearchModes.
 //
 // The arena has a compact wire form (AppendTo/Parse, CRC-footed) so a
@@ -76,6 +83,23 @@ class AlignedWordArena {
   size_t size_ = 0;
 };
 
+/// A frozen leaf entry's payload. The key is not copied here: it lives
+/// only in the arena block at `entry` (see FrozenTpt::PremiseWords,
+/// ConsequenceWords and KeyOf).
+struct FrozenLeaf {
+  /// Rule confidence c.
+  double confidence = 0.0;
+
+  /// Region id of the consequence (the paper's region key pointer p).
+  int consequence_region = 0;
+
+  /// Index of the pattern in the miner's output vector.
+  int pattern_id = 0;
+
+  /// Arena entry index of this leaf's key block.
+  uint32_t entry = 0;
+};
+
 /// The frozen, scannable TPT generation. Default-constructed = empty
 /// (matches an untrained / zero-pattern tree: every search returns
 /// nothing and touches no node).
@@ -100,14 +124,14 @@ class FrozenTpt {
   /// All leaf entries matching `query` under `mode`, in the mutable
   /// tree's traversal order. Pointers remain valid for the lifetime of
   /// this FrozenTpt.
-  std::vector<const IndexedPattern*> Search(
+  std::vector<const FrozenLeaf*> Search(
       const PatternKey& query, SearchMode mode,
       TptSearchStats* stats = nullptr) const;
 
   /// Search writing into a caller-owned vector (cleared first); `stats`,
   /// when given, accumulates — the same contract as TptTree::SearchInto.
   void SearchInto(const PatternKey& query, SearchMode mode,
-                  std::vector<const IndexedPattern*>* out,
+                  std::vector<const FrozenLeaf*>* out,
                   TptSearchStats* stats = nullptr) const;
 
   /// A paused depth-first traversal that can be advanced a few entry
@@ -147,7 +171,7 @@ class FrozenTpt {
     const uint64_t* query_consequence_ = nullptr;
     const uint64_t* query_premise_ = nullptr;
     SearchMode mode_ = SearchMode::kPremiseAndConsequence;
-    std::vector<const IndexedPattern*>* out_ = nullptr;
+    std::vector<const FrozenLeaf*>* out_ = nullptr;
     TptSearchStats* stats_ = nullptr;
     /// frames_[0..depth_) is the DFS stack; depth_ == 0 means done.
     std::array<Frame, kMaxDepth> frames_;
@@ -159,7 +183,7 @@ class FrozenTpt {
   /// returned cursor with Step() until done; hits land in `out` in the
   /// same order SearchInto emits them.
   SearchCursor StartSearch(const PatternKey& query, SearchMode mode,
-                           std::vector<const IndexedPattern*>* out,
+                           std::vector<const FrozenLeaf*>* out,
                            TptSearchStats* stats = nullptr) const;
 
   /// Number of indexed patterns.
@@ -172,12 +196,30 @@ class FrozenTpt {
   size_t premise_bits() const { return premise_bits_; }
   size_t consequence_bits() const { return consequence_bits_; }
 
+  /// Words per packed premise / consequence part of a key block.
+  size_t premise_words() const { return premise_words_; }
+  size_t consequence_words() const { return consequence_words_; }
+
   /// Leaf payloads in leaf-entry (DFS) order.
-  const std::vector<IndexedPattern>& patterns() const { return patterns_; }
+  const std::vector<FrozenLeaf>& patterns() const { return patterns_; }
+
+  /// The arena words of a leaf's key: premise_words() premise words and
+  /// consequence_words() consequence words, zero tail bits. `leaf` must
+  /// be one of this tree's payloads; the pointers live as long as it.
+  const uint64_t* PremiseWords(const FrozenLeaf& leaf) const {
+    return key_words_.data() + leaf.entry * Stride() + consequence_words_;
+  }
+  const uint64_t* ConsequenceWords(const FrozenLeaf& leaf) const {
+    return key_words_.data() + leaf.entry * Stride();
+  }
+
+  /// The leaf's key as a PatternKey (allocates; for tests and the model
+  /// loader's cross-check, not the query path).
+  PatternKey KeyOf(const FrozenLeaf& leaf) const;
 
   /// Bytes held by the arena, topology arrays and payloads — the
   /// `tpt.frozen_bytes` metric, comparable against the builder tree's
-  /// MemoryBytes().
+  /// MemoryBytes(). Keys are counted once, in the arena.
   size_t MemoryBytes() const;
 
   /// Structural self-check for tests: runs the same topology validation
@@ -221,7 +263,7 @@ class FrozenTpt {
   std::vector<NodeRef> nodes_;
   std::vector<uint32_t> entry_target_;
   AlignedWordArena key_words_;
-  std::vector<IndexedPattern> patterns_;
+  std::vector<FrozenLeaf> patterns_;
   size_t premise_bits_ = 0;
   size_t consequence_bits_ = 0;
   uint32_t premise_words_ = 0;

@@ -492,6 +492,38 @@ TEST_F(FrozenSectionCorruptionTest, PayloadDriftIsCaughtByCrossCheck) {
             std::string::npos);
 }
 
+TEST_F(FrozenSectionCorruptionTest, LeafKeyDriftIsCaughtByCrossCheck) {
+  // Leaf keys live only in the arena, so the cross-check must compare
+  // the arena words themselves: flip an in-width premise bit of one leaf
+  // entry's block and re-stamp both checksums.
+  const uint32_t premise_bits = ReadSectionU32(8);
+  const uint32_t consequence_bits = ReadSectionU32(12);
+  const uint32_t num_nodes = ReadSectionU32(16);
+  const uint32_t num_entries = ReadSectionU32(20);
+  ASSERT_GT(premise_bits, 0u);
+  const size_t premise_words = (premise_bits + 63) / 64;
+  const size_t consequence_words = (consequence_bits + 63) / 64;
+  const size_t stride = premise_words + consequence_words;
+  // The first leaf node's first entry.
+  size_t leaf_entry = num_entries;
+  for (uint32_t n = 0; n < num_nodes; ++n) {
+    if (ReadSectionU32(28 + 12 * n + 8) != 0) {
+      leaf_entry = ReadSectionU32(28 + 12 * n);
+      break;
+    }
+  }
+  ASSERT_LT(leaf_entry, num_entries) << "no leaf node found";
+  const size_t key_words = 28 + 12 * size_t{num_nodes} + 4 * num_entries;
+  const size_t premise_word0 =
+      ftpt_offset_ + key_words + (leaf_entry * stride + consequence_words) * 8;
+  bytes_[premise_word0] ^= 0x01;  // Premise bit 0: always within width.
+  RestampSectionCrc();
+  const Status status = LoadCorrupted("model_leaf_key_drift.hpm");
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("frozen TPT disagrees with pattern set"),
+            std::string::npos);
+}
+
 TEST(IncorporateTest, NewDataOnKnownRouteAddsNothingNew) {
   auto trained = HybridPredictor::Train(MakeHistory(30), Options());
   ASSERT_TRUE(trained.ok());

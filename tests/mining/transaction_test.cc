@@ -75,6 +75,16 @@ class MapMovementsTest : public ::testing::Test {
     r1.support = 5;
     set_.AddRegion(r1);
   }
+
+  /// Maps into a buffer that already holds stale ids, so every case also
+  /// checks that the output is refilled rather than appended to.
+  std::vector<int> Map(const std::vector<TimedPoint>& recent,
+                       double slack = 0.0) const {
+    std::vector<int> ids = {7, 3};
+    MapMovementsToRegions(set_, recent, slack, &ids);
+    return ids;
+  }
+
   FrequentRegionSet set_;
 };
 
@@ -83,32 +93,32 @@ TEST_F(MapMovementsTest, MatchesByOffsetAndContainment) {
       {2, {100, 100}},  // In region 0.
       {3, {200, 200}},  // In region 1.
   };
-  EXPECT_EQ(MapMovementsToRegions(set_, recent),
+  EXPECT_EQ(Map(recent),
             (std::vector<int>{0, 1}));
 }
 
 TEST_F(MapMovementsTest, WrongOffsetDoesNotMatch) {
   const std::vector<TimedPoint> recent = {{5, {100, 100}}};
-  EXPECT_TRUE(MapMovementsToRegions(set_, recent).empty());
+  EXPECT_TRUE(Map(recent).empty());
 }
 
 TEST_F(MapMovementsTest, TimeWrapsModuloPeriod) {
   // Absolute time 12 has offset 2 in a period of 10.
   const std::vector<TimedPoint> recent = {{12, {100, 100}}};
-  EXPECT_EQ(MapMovementsToRegions(set_, recent), std::vector<int>{0});
+  EXPECT_EQ(Map(recent), std::vector<int>{0});
 }
 
 TEST_F(MapMovementsTest, SlackAdmitsNearMisses) {
   const std::vector<TimedPoint> recent = {{2, {108, 100}}};
-  EXPECT_TRUE(MapMovementsToRegions(set_, recent, 0.0).empty());
-  EXPECT_EQ(MapMovementsToRegions(set_, recent, 5.0),
+  EXPECT_TRUE(Map(recent, 0.0).empty());
+  EXPECT_EQ(Map(recent, 5.0),
             std::vector<int>{0});
 }
 
 TEST_F(MapMovementsTest, DuplicatesCollapse) {
   const std::vector<TimedPoint> recent = {
       {2, {100, 100}}, {12, {101, 101}}};  // Both map to region 0.
-  EXPECT_EQ(MapMovementsToRegions(set_, recent), std::vector<int>{0});
+  EXPECT_EQ(Map(recent), std::vector<int>{0});
 }
 
 TEST(TransactionDeathTest, RegionIdOutOfUniverseAborts) {

@@ -42,7 +42,7 @@ std::string CompareSearch(const TptTree& tree, const FrozenTpt& frozen,
   TptSearchStats tree_stats, frozen_stats;
   const std::vector<const IndexedPattern*> tree_hits =
       tree.Search(query, mode, &tree_stats);
-  const std::vector<const IndexedPattern*> frozen_hits =
+  const std::vector<const FrozenLeaf*> frozen_hits =
       frozen.Search(query, mode, &frozen_stats);
 
   const std::string what = label + " " + ModeName(mode) + " search ";
@@ -60,7 +60,7 @@ std::string CompareSearch(const TptTree& tree, const FrozenTpt& frozen,
     if (tree_hits[i]->confidence != frozen_hits[i]->confidence ||
         tree_hits[i]->consequence_region !=
             frozen_hits[i]->consequence_region ||
-        !(tree_hits[i]->key == frozen_hits[i]->key)) {
+        !(tree_hits[i]->key == frozen.KeyOf(*frozen_hits[i]))) {
       return what + "hit " + std::to_string(i) +
              " payload differs from the mutable tree's";
     }

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -53,18 +54,25 @@ IndexedPattern MakePattern(PatternKey key, int id) {
   return p;
 }
 
-/// A multi-level tree (small node capacity) over `count` random patterns.
-TptTree BuildTree(int count, uint64_t seed) {
+/// `count` random patterns over 40 premise / 10 consequence bits;
+/// pattern i has pattern_id i.
+std::vector<IndexedPattern> BuildPatterns(int count, uint64_t seed) {
   std::vector<IndexedPattern> patterns;
   Random rng(seed);
   patterns.reserve(static_cast<size_t>(count));
   for (int i = 0; i < count; ++i) {
     patterns.push_back(MakePattern(RandomKey(&rng, 40, 10), i));
   }
+  return patterns;
+}
+
+/// A multi-level tree (small node capacity) over `count` random patterns.
+TptTree BuildTree(int count, uint64_t seed) {
   TptTree::Options options;
   options.max_node_entries = 5;
   options.min_node_entries = 2;
-  StatusOr<TptTree> tree = TptTree::BulkLoad(patterns, options);
+  StatusOr<TptTree> tree =
+      TptTree::BulkLoad(BuildPatterns(count, seed), options);
   EXPECT_TRUE(tree.ok()) << tree.status().ToString();
   return std::move(*tree);
 }
@@ -118,6 +126,33 @@ TEST(FrozenTptTest, EmptyTreeFreezesAndRoundTripsEmpty) {
   EXPECT_TRUE(reparsed->empty());
 }
 
+/// Every leaf payload of `frozen` carries exactly the key, confidence and
+/// consequence region of the input pattern with its id, its key read
+/// back through the arena, and every pattern id appears exactly once.
+void ExpectPayloadsMatch(const FrozenTpt& frozen,
+                         const std::vector<IndexedPattern>& patterns) {
+  ASSERT_EQ(frozen.size(), patterns.size());
+  std::vector<bool> seen(patterns.size(), false);
+  for (const FrozenLeaf& leaf : frozen.patterns()) {
+    ASSERT_GE(leaf.pattern_id, 0);
+    ASSERT_LT(static_cast<size_t>(leaf.pattern_id), seen.size());
+    EXPECT_FALSE(seen[static_cast<size_t>(leaf.pattern_id)]);
+    seen[static_cast<size_t>(leaf.pattern_id)] = true;
+    const IndexedPattern& p = patterns[static_cast<size_t>(leaf.pattern_id)];
+    EXPECT_EQ(leaf.confidence, p.confidence);
+    EXPECT_EQ(leaf.consequence_region, p.consequence_region);
+    EXPECT_EQ(frozen.KeyOf(leaf), p.key) << "pattern " << leaf.pattern_id;
+    // The raw word views are what query scoring reads.
+    EXPECT_TRUE(std::equal(p.key.premise().words(),
+                           p.key.premise().words() + frozen.premise_words(),
+                           frozen.PremiseWords(leaf)));
+    EXPECT_TRUE(std::equal(
+        p.key.consequence().words(),
+        p.key.consequence().words() + frozen.consequence_words(),
+        frozen.ConsequenceWords(leaf)));
+  }
+}
+
 TEST(FrozenTptTest, FreezeKeepsPatternsAndAccountsMemory) {
   const TptTree tree = BuildTree(80, 11);
   const FrozenTpt frozen = FrozenTpt::Freeze(tree);
@@ -129,14 +164,16 @@ TEST(FrozenTptTest, FreezeKeepsPatternsAndAccountsMemory) {
   // The arena must be accounted for: more than the bare struct, and the
   // key blocks dominate a pointer-free layout.
   EXPECT_GT(frozen.MemoryBytes(), sizeof(FrozenTpt));
-  // Every pattern id appears exactly once among the leaf payloads.
-  std::vector<bool> seen(frozen.size(), false);
-  for (const IndexedPattern& p : frozen.patterns()) {
-    ASSERT_GE(p.pattern_id, 0);
-    ASSERT_LT(static_cast<size_t>(p.pattern_id), seen.size());
-    EXPECT_FALSE(seen[static_cast<size_t>(p.pattern_id)]);
-    seen[static_cast<size_t>(p.pattern_id)] = true;
-  }
+  const std::vector<IndexedPattern> patterns = BuildPatterns(80, 11);
+  ExpectPayloadsMatch(frozen, patterns);
+  // Parse rebuilds each payload's arena entry index from the topology.
+  const std::string wire = Wire(frozen);
+  size_t consumed = 0;
+  StatusOr<FrozenTpt> reparsed =
+      FrozenTpt::Parse(wire.data(), wire.size(), &consumed);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(reparsed->MemoryBytes(), frozen.MemoryBytes());
+  ExpectPayloadsMatch(*reparsed, patterns);
 }
 
 TEST(FrozenTptTest, ParseIgnoresTrailingBytes) {
