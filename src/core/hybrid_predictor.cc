@@ -57,11 +57,11 @@ void HybridPredictor::ResetCounters() const {
 
 HybridPredictor::HybridPredictor(HybridPredictorOptions options,
                                  FrequentRegionSet regions,
-                                 std::vector<TrajectoryPattern> patterns,
+                                 std::vector<int> supports,
                                  KeyTables key_tables, FrozenTpt tpt)
     : options_(options),
       regions_(std::move(regions)),
-      patterns_(std::move(patterns)),
+      supports_(std::move(supports)),
       key_tables_(std::move(key_tables)),
       tpt_(std::move(tpt)) {}
 
@@ -91,7 +91,7 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::Train(
   summary.mining_stats = mined.stats;
   KeyTables tables = KeyTables::Build(region_set, mined.patterns);
   StatusOr<std::unique_ptr<HybridPredictor>> predictor =
-      Assemble(options, std::move(region_set), std::move(mined.patterns),
+      Assemble(options, std::move(region_set), mined.patterns,
                std::move(tables), summary);
   if (!predictor.ok()) return predictor.status();
   (*predictor)->summary_.train_seconds = timer.ElapsedSeconds();
@@ -100,14 +100,17 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::Train(
 
 StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::Assemble(
     const HybridPredictorOptions& options, FrequentRegionSet regions,
-    std::vector<TrajectoryPattern> patterns, KeyTables tables,
+    const std::vector<TrajectoryPattern>& patterns, KeyTables tables,
     TrainingSummary summary) {
   std::vector<IndexedPattern> indexed;
+  std::vector<int> supports;
   indexed.reserve(patterns.size());
+  supports.reserve(patterns.size());
   for (size_t i = 0; i < patterns.size(); ++i) {
     const TrajectoryPattern& p = patterns[i];
     indexed.push_back({tables.EncodePattern(p, regions), p.confidence,
                        p.consequence, static_cast<int>(i)});
+    supports.push_back(p.support);
   }
   StatusOr<TptTree> tpt = TptTree::BulkLoad(std::move(indexed), options.tpt);
   if (!tpt.ok()) return tpt.status();
@@ -115,14 +118,31 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::Assemble(
   FrozenTpt frozen = FrozenTpt::Freeze(*tpt);
 
   auto predictor = std::unique_ptr<HybridPredictor>(
-      new HybridPredictor(options, std::move(regions), std::move(patterns),
+      new HybridPredictor(options, std::move(regions), std::move(supports),
                           std::move(tables), std::move(frozen)));
   summary.num_frequent_regions = predictor->regions_.NumRegions();
-  summary.num_patterns = predictor->patterns_.size();
+  summary.num_patterns = predictor->tpt_.size();
   summary.tpt_frozen_bytes = predictor->tpt_.MemoryBytes();
   summary.tpt_height = predictor->tpt_.Height();
   predictor->summary_ = summary;
   return predictor;
+}
+
+std::vector<TrajectoryPattern> HybridPredictor::Patterns() const {
+  HPM_CHECK(tpt_.empty() ||
+            tpt_.premise_bits() == key_tables_.premise_key_length());
+  // Pattern ids are dense: Assemble numbers the rules 0..n-1 and the
+  // loader rejects any other id set.
+  std::vector<TrajectoryPattern> patterns(tpt_.size());
+  for (const FrozenLeaf& leaf : tpt_.patterns()) {
+    const size_t id = static_cast<size_t>(leaf.pattern_id);
+    TrajectoryPattern& p = patterns[id];
+    p.premise = key_tables_.DecodePremise(tpt_.PremiseWords(leaf));
+    p.consequence = leaf.consequence_region;
+    p.confidence = leaf.confidence;
+    p.support = supports_[id];
+  }
+  return patterns;
 }
 
 void HybridPredictor::QueryPremise(const PredictiveQuery& query,
@@ -521,11 +541,12 @@ StatusOr<size_t> HybridPredictor::IncorporateNewHistory(
 
   // Append the rules not yet indexed. A rule concluding at a time offset
   // the consequence-key table has never seen grows the key universe.
+  std::vector<TrajectoryPattern> combined = Patterns();
+  const size_t indexed = combined.size();
   std::set<std::pair<std::vector<int>, int>> existing;
-  for (const TrajectoryPattern& p : patterns_) {
+  for (const TrajectoryPattern& p : combined) {
     existing.emplace(p.premise, p.consequence);
   }
-  std::vector<TrajectoryPattern> combined = patterns_;
   bool new_consequence_offset = false;
   for (TrajectoryPattern& p : mined->patterns) {
     if (existing.count({p.premise, p.consequence})) continue;
@@ -535,7 +556,7 @@ StatusOr<size_t> HybridPredictor::IncorporateNewHistory(
     }
     combined.push_back(std::move(p));
   }
-  const size_t added = combined.size() - patterns_.size();
+  const size_t added = combined.size() - indexed;
 
   // When the key universe grows the tables are rebuilt (keys change
   // length). Either way the TPT is bulk loaded from scratch: bulk loading
@@ -545,8 +566,8 @@ StatusOr<size_t> HybridPredictor::IncorporateNewHistory(
   KeyTables tables = new_consequence_offset
                          ? KeyTables::Build(regions_, combined)
                          : key_tables_;
-  StatusOr<std::unique_ptr<HybridPredictor>> updated = Assemble(
-      options_, regions_, std::move(combined), std::move(tables), summary_);
+  StatusOr<std::unique_ptr<HybridPredictor>> updated =
+      Assemble(options_, regions_, combined, std::move(tables), summary_);
   if (!updated.ok()) return updated.status();
   // Carry the counts so they stay monotonic across the update.
   (*updated)->counters_ = counters_;

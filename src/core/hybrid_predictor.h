@@ -286,10 +286,17 @@ class HybridPredictor {
   }
 
   const FrequentRegionSet& regions() const { return regions_; }
-  const std::vector<TrajectoryPattern>& patterns() const { return patterns_; }
 
-  /// The frozen serving index. The mutable builder tree exists only
-  /// transiently inside Train/IncorporateNewHistory/LoadFromFile.
+  /// The mined rules in pattern-id order, decoded from the frozen arena
+  /// (premise from the leaf's premise words, consequence and confidence
+  /// from its payload) plus each rule's mined support. Allocates the
+  /// whole table on every call: for persistence, §V-B dedup, reports and
+  /// tests, not the query path.
+  std::vector<TrajectoryPattern> Patterns() const;
+
+  /// The frozen serving index: the model's only store of its rules. The
+  /// builder tree it was frozen from exists only inside Train and
+  /// IncorporateNewHistory; LoadFromFile parses the arena directly.
   const FrozenTpt& tpt() const { return tpt_; }
   const KeyTables& key_tables() const { return key_tables_; }
   const HybridPredictorOptions& options() const { return options_; }
@@ -312,16 +319,17 @@ class HybridPredictor {
   };
 
   HybridPredictor(HybridPredictorOptions options, FrequentRegionSet regions,
-                  std::vector<TrajectoryPattern> patterns,
-                  KeyTables key_tables, FrozenTpt tpt);
+                  std::vector<int> supports, KeyTables key_tables,
+                  FrozenTpt tpt);
 
   /// The index half of every model build, shared by Train and
   /// IncorporateNewHistory: encodes `patterns` with `tables`, bulk loads
-  /// and freezes the TPT, and fills `summary`'s region, pattern and index
-  /// fields (the rest of `summary` is kept as given).
+  /// and freezes the TPT, keeps only each rule's support beside it, and
+  /// fills `summary`'s region, pattern and index fields (the rest of
+  /// `summary` is kept as given).
   static StatusOr<std::unique_ptr<HybridPredictor>> Assemble(
       const HybridPredictorOptions& options, FrequentRegionSet regions,
-      std::vector<TrajectoryPattern> patterns, KeyTables tables,
+      const std::vector<TrajectoryPattern>& patterns, KeyTables tables,
       TrainingSummary summary);
 
   /// Maps recent movements to visited frequent regions (query premise),
@@ -342,7 +350,9 @@ class HybridPredictor {
 
   HybridPredictorOptions options_;
   FrequentRegionSet regions_;
-  std::vector<TrajectoryPattern> patterns_;
+  /// Mined support per pattern id: the one rule field the arena does not
+  /// hold, kept so that SaveToFile writes the miner's table unchanged.
+  std::vector<int> supports_;
   KeyTables key_tables_;
   FrozenTpt tpt_;
   TrainingSummary summary_;

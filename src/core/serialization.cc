@@ -8,10 +8,12 @@
 // (structure + per-section CRC) instead of replaying the sequential
 // bulk load, and cross-checks the arena's leaf payloads against the
 // re-encoded pattern set so a logically inconsistent section can never
-// serve wrong answers. The footer makes torn writes and bit rot
-// detectable (DataLoss) before the field validators run; the file
-// itself is written via AtomicWriteFile, so a crashed save leaves the
-// previous model intact rather than a prefix.
+// serve wrong answers. The pattern table is written from the rules the
+// arena decodes to (plus each rule's support); on load it is only
+// cross-checked, and its supports kept. The footer makes torn writes and
+// bit rot detectable (DataLoss) before the field validators run; the
+// file itself is written via AtomicWriteFile, so a crashed save leaves
+// the previous model intact rather than a prefix.
 
 #include <algorithm>
 #include <cstdint>
@@ -193,8 +195,9 @@ Status HybridPredictor::SaveToFile(const std::string& path) const {
     f.Write(static_cast<int64_t>(r.support));
   }
 
-  f.Write(static_cast<uint64_t>(patterns_.size()));
-  for (const TrajectoryPattern& p : patterns_) {
+  const std::vector<TrajectoryPattern> patterns = Patterns();
+  f.Write(static_cast<uint64_t>(patterns.size()));
+  for (const TrajectoryPattern& p : patterns) {
     f.Write(static_cast<uint64_t>(p.premise.size()));
     for (int id : p.premise) f.Write(static_cast<int64_t>(id));
     f.Write(static_cast<int64_t>(p.consequence));
@@ -321,6 +324,11 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
       if (id < 0 || static_cast<uint64_t>(id) >= num_regions) {
         return Status::InvalidArgument("premise region id out of range");
       }
+      // The model keeps a premise only as key bits, which decode back in
+      // ascending order; any other order could not be saved back as read.
+      if (!p.premise.empty() && id <= p.premise.back()) {
+        return Status::InvalidArgument("premise region ids not ascending");
+      }
       p.premise.push_back(static_cast<int>(id));
     }
     int64_t i64 = 0;
@@ -402,14 +410,18 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
     }
   }
 
+  // The arena holds every rule; only the supports are kept beside it.
+  std::vector<int> supports;
+  supports.reserve(patterns.size());
+  for (const TrajectoryPattern& p : patterns) supports.push_back(p.support);
   auto predictor = std::unique_ptr<HybridPredictor>(
-      new HybridPredictor(options, std::move(regions), std::move(patterns),
+      new HybridPredictor(options, std::move(regions), std::move(supports),
                           std::move(tables), std::move(*frozen)));
   predictor->summary_.num_sub_trajectories =
       static_cast<size_t>(num_subs);
   predictor->summary_.num_frequent_regions =
       predictor->regions_.NumRegions();
-  predictor->summary_.num_patterns = predictor->patterns_.size();
+  predictor->summary_.num_patterns = predictor->tpt_.size();
   predictor->summary_.tpt_memory_bytes =
       static_cast<size_t>(builder_bytes);
   predictor->summary_.tpt_frozen_bytes = predictor->tpt_.MemoryBytes();

@@ -28,8 +28,7 @@
 // predicates call) with prefetch of the upcoming blocks. Query scoring
 // (premise similarity, BQP's consequence time) reads the hit's block —
 // just scanned, so still in cache — through PremiseWords /
-// ConsequenceWords; KeyOf materialises a PatternKey only for tests and
-// the model loader's cross-check.
+// ConsequenceWords; KeyOf materialises a PatternKey only for tests.
 //
 // Search visits nodes, tests entries, and emits hits in exactly the
 // mutable tree's order; prop_tpt_frozen_test proves the results (ids,
@@ -93,7 +92,9 @@ struct FrozenLeaf {
   /// Region id of the consequence (the paper's region key pointer p).
   int consequence_region = 0;
 
-  /// Index of the pattern in the miner's output vector.
+  /// Index of the pattern in the miner's output vector. Ids are dense
+  /// (0..size()-1), so HybridPredictor::Patterns() decodes the leaves
+  /// back into that vector's order.
   int pattern_id = 0;
 
   /// Arena entry index of this leaf's key block.
@@ -213,8 +214,8 @@ class FrozenTpt {
     return key_words_.data() + leaf.entry * Stride();
   }
 
-  /// The leaf's key as a PatternKey (allocates; for tests and the model
-  /// loader's cross-check, not the query path).
+  /// The leaf's key as a PatternKey (allocates; for tests, not the query
+  /// path).
   PatternKey KeyOf(const FrozenLeaf& leaf) const;
 
   /// Bytes held by the arena, topology arrays and payloads — the

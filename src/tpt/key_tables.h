@@ -56,34 +56,30 @@ class KeyTables {
   PatternKey EncodePattern(const TrajectoryPattern& pattern,
                            const FrequentRegionSet& regions) const;
 
-  /// Encodes a query: premise bits for the recently-visited regions,
-  /// one consequence bit for the query offset. Returns NotFound when no
-  /// pattern concludes at `query_offset` (FQP then falls back to the
-  /// motion function).
-  StatusOr<PatternKey> EncodeQuery(const std::vector<int>& premise_regions,
-                                   Timestamp query_offset) const;
+  /// The region ids of the premise key packed in `words`
+  /// (premise_key_length() bits, bit i = region i), ascending: the inverse
+  /// of EncodePattern's premise half for the miner's ascending premises.
+  std::vector<int> DecodePremise(const uint64_t* words) const;
 
-  /// EncodeQuery writing into `out`, whose bitmaps are resized and reused
-  /// in place — the allocation-free variant for per-query scratch buffers.
-  /// Same NotFound contract; `out` is valid only on OK.
+  /// Encodes a query into `out`, whose bitmaps are resized and reused in
+  /// place: premise bits for the recently-visited regions, one
+  /// consequence bit for the query offset. Returns NotFound when no
+  /// pattern concludes at `query_offset` (FQP then falls back to the
+  /// motion function); `out` is valid only on OK.
   Status EncodeQueryInto(const std::vector<int>& premise_regions,
                          Timestamp query_offset, PatternKey* out) const;
 
-  /// Encodes a BQP query: premise bits as above, consequence bits for
-  /// *every* table offset inside [lo, hi] (inclusive, clamped). The
-  /// consequence part is empty-bitted when the interval covers no offset.
-  PatternKey EncodeQueryInterval(const std::vector<int>& premise_regions,
-                                 Timestamp lo, Timestamp hi) const;
-
-  /// EncodeQueryInterval writing into `out` (see EncodeQueryInto).
+  /// Encodes a BQP query into `out` (reused as above): premise bits as
+  /// above, consequence bits for *every* table offset inside [lo, hi]
+  /// (inclusive, clamped). The consequence part is empty-bitted when the
+  /// interval covers no offset.
   void EncodeQueryIntervalInto(const std::vector<int>& premise_regions,
                                Timestamp lo, Timestamp hi,
                                PatternKey* out) const;
 
  private:
-  DynamicBitset EncodePremise(const std::vector<int>& region_ids) const;
-
-  /// EncodePremise into a reused bitmap.
+  /// Sets the premise bit of every region in `region_ids` in a reused
+  /// bitmap of premise_key_length() bits.
   void EncodePremiseInto(const std::vector<int>& region_ids,
                          DynamicBitset* out) const;
 

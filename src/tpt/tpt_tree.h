@@ -11,7 +11,6 @@
 #ifndef HPM_TPT_TPT_TREE_H_
 #define HPM_TPT_TPT_TREE_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -60,10 +59,11 @@ struct TptSearchStats {
 /// The Trajectory Pattern Tree — the *mutable builder* form.
 ///
 /// Serving-path searches run against the FrozenTpt arena emitted from a
-/// finished tree (frozen_tpt.h); this class owns the dynamic insertion /
-/// split / removal machinery, and its Search members remain as the
-/// reference implementation the frozen layout is differentially tested
-/// against (tests/proptest/prop_tpt_frozen_test.cc).
+/// finished tree (frozen_tpt.h). A model builds one of these, freezes it
+/// and throws it away, so like the paper's TPT it only inserts: this class
+/// owns the insertion / split machinery, and its Search members remain as
+/// the reference implementation the frozen layout is differentially
+/// tested against (tests/proptest/prop_tpt_frozen_test.cc).
 class TptTree {
  public:
   /// Tree node; defined in the .cc file (opaque to clients).
@@ -112,16 +112,6 @@ class TptTree {
   void SearchInto(const PatternKey& query, SearchMode mode,
                   std::vector<const IndexedPattern*>* out,
                   TptSearchStats* stats = nullptr) const;
-
-  /// Removes every indexed pattern for which `predicate` returns true
-  /// (e.g. evicting rules whose confidence has drifted below a bar).
-  /// Underfull nodes are dissolved R-tree-style: their surviving entries
-  /// re-insert, so the fill invariants hold afterwards. Returns the
-  /// number of patterns removed.
-  size_t RemoveIf(const std::function<bool(const IndexedPattern&)>& predicate);
-
-  /// Removes the single pattern with this pattern_id; false if absent.
-  bool Remove(int pattern_id);
 
   /// Number of indexed patterns.
   size_t size() const { return size_; }

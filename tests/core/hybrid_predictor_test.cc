@@ -92,7 +92,7 @@ TEST_F(HybridPredictorTest, TrainingSummaryPopulated) {
   EXPECT_GT(s.tpt_memory_bytes, 0u);
   EXPECT_GE(s.tpt_height, 1);
   EXPECT_GE(s.train_seconds, 0.0);
-  EXPECT_EQ(s.num_patterns, predictor_->patterns().size());
+  EXPECT_EQ(s.num_patterns, predictor_->Patterns().size());
   EXPECT_EQ(predictor_->tpt().size(), s.num_patterns);
 }
 
@@ -453,13 +453,13 @@ TEST(HybridPredictorUpdateTest, IncorporationKeepsCountersAndFailsCleanly) {
   ASSERT_TRUE(model.Predict(RouteAQuery(10, 4)).ok());
   ASSERT_TRUE(model.Predict(RouteAQuery(5, 12)).ok());
   const QueryCounters counted = model.counters();
-  const size_t patterns_before = model.patterns().size();
+  const size_t patterns_before = model.Patterns().size();
 
   auto added = model.IncorporateNewHistory(MakeHistory(10, 99));
   ASSERT_TRUE(added.ok());
-  EXPECT_EQ(model.patterns().size(), patterns_before + *added);
-  EXPECT_EQ(model.summary().num_patterns, model.patterns().size());
-  EXPECT_EQ(model.tpt().size(), model.patterns().size());
+  EXPECT_EQ(model.Patterns().size(), patterns_before + *added);
+  EXPECT_EQ(model.summary().num_patterns, model.Patterns().size());
+  EXPECT_EQ(model.tpt().size(), model.Patterns().size());
   EXPECT_EQ(model.summary().tpt_frozen_bytes, model.tpt().MemoryBytes());
   EXPECT_EQ(model.counters().forward_queries, counted.forward_queries);
   EXPECT_EQ(model.counters().backward_queries, counted.backward_queries);
@@ -473,7 +473,7 @@ TEST(HybridPredictorUpdateTest, IncorporationKeepsCountersAndFailsCleanly) {
   Trajectory partial;
   for (int i = 0; i < 5; ++i) partial.Append({0, 0});
   ASSERT_FALSE(model.IncorporateNewHistory(partial).ok());
-  EXPECT_EQ(model.patterns().size(), patterns_before + *added);
+  EXPECT_EQ(model.Patterns().size(), patterns_before + *added);
   size_t next = 0;
   for (Timestamp tc = 4; tc <= 14; tc += 2) {
     for (Timestamp length : {2, 4, 9, 12}) {

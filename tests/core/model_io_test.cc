@@ -253,13 +253,13 @@ class ModelCorruptionTest : public ::testing::Test {
     auto trained = HybridPredictor::Train(MakeHistory(30), Options());
     ASSERT_TRUE(trained.ok());
     model_ = std::move(*trained);
-    ASSERT_FALSE(model_->patterns().empty());
+    ASSERT_FALSE(model_->Patterns().empty());
     path_ = TempPath("model_corrupt_base.hpm");
     ASSERT_TRUE(model_->SaveToFile(path_).ok());
     bytes_ = ReadFileBytes(path_);
 
     size_t patterns_bytes = 0;
-    for (const TrajectoryPattern& p : model_->patterns()) {
+    for (const TrajectoryPattern& p : model_->Patterns()) {
       patterns_bytes += 8 + 8 * p.premise.size() + 24;
     }
     size_t regions_bytes = 0;
@@ -313,11 +313,11 @@ TEST_F(ModelCorruptionTest, SanityCheckOffsetsByRoundTrip) {
   // with its current value must leave the file loadable.
   uint64_t current = 0;
   std::memcpy(&current, bytes_.data() + num_patterns_offset_, 8);
-  ASSERT_EQ(current, model_->patterns().size());
+  ASSERT_EQ(current, model_->Patterns().size());
   std::memcpy(&current, bytes_.data() + num_regions_offset_, 8);
   ASSERT_EQ(current, model_->regions().NumRegions());
   std::memcpy(&current, bytes_.data() + first_premise_size_offset_, 8);
-  ASSERT_EQ(current, model_->patterns().front().premise.size());
+  ASSERT_EQ(current, model_->Patterns().front().premise.size());
   std::memcpy(&current, bytes_.data() + num_subs_offset_, 8);
   ASSERT_EQ(current, model_->summary().num_sub_trajectories);
   EXPECT_TRUE(LoadCorrupted("model_untouched.hpm").ok());
@@ -365,6 +365,26 @@ TEST_F(ModelCorruptionTest, RejectsOversizedPremiseKey) {
   const Status status = LoadCorrupted("model_oversized_premise.hpm");
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("corrupt premise size"),
+            std::string::npos);
+}
+
+TEST_F(ModelCorruptionTest, RejectsUnsortedPremise) {
+  // Swapping two premise ids keeps the key bits, so the frozen-TPT
+  // cross-check alone would pass; the model could not save the order
+  // back, so the loader rejects it.
+  size_t offset = first_premise_size_offset_;
+  for (const TrajectoryPattern& p : model_->Patterns()) {
+    if (p.premise.size() >= 2) {
+      OverwriteU64(bytes_, offset + 8, static_cast<uint64_t>(p.premise[1]));
+      OverwriteU64(bytes_, offset + 16, static_cast<uint64_t>(p.premise[0]));
+      break;
+    }
+    offset += 8 + 8 * p.premise.size() + 24;
+  }
+  ASSERT_LT(offset, num_subs_offset_) << "no multi-region premise";
+  const Status status = LoadCorrupted("model_unsorted_premise.hpm");
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("premise region ids not ascending"),
             std::string::npos);
 }
 

@@ -213,12 +213,13 @@ TEST(IntegrationDeterminismTest, IdenticalRunsProduceIdenticalModels) {
   ASSERT_EQ((*pa)->summary().num_patterns, (*pb)->summary().num_patterns);
   ASSERT_EQ((*pa)->summary().num_frequent_regions,
             (*pb)->summary().num_frequent_regions);
-  for (size_t i = 0; i < (*pa)->patterns().size(); ++i) {
-    EXPECT_EQ((*pa)->patterns()[i].premise, (*pb)->patterns()[i].premise);
-    EXPECT_EQ((*pa)->patterns()[i].consequence,
-              (*pb)->patterns()[i].consequence);
-    EXPECT_DOUBLE_EQ((*pa)->patterns()[i].confidence,
-                     (*pb)->patterns()[i].confidence);
+  const std::vector<TrajectoryPattern> patterns_a = (*pa)->Patterns();
+  const std::vector<TrajectoryPattern> patterns_b = (*pb)->Patterns();
+  ASSERT_EQ(patterns_a.size(), patterns_b.size());
+  for (size_t i = 0; i < patterns_a.size(); ++i) {
+    EXPECT_EQ(patterns_a[i].premise, patterns_b[i].premise);
+    EXPECT_EQ(patterns_a[i].consequence, patterns_b[i].consequence);
+    EXPECT_DOUBLE_EQ(patterns_a[i].confidence, patterns_b[i].confidence);
   }
   auto cases = MakeQueryCases(a.trajectory, kPeriod, kTrainSubs,
                               Workload(20));

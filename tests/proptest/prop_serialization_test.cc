@@ -2,7 +2,10 @@
 // trained model written by SaveToFile and read back by LoadFromFile must
 // be observably identical (regions, patterns, summary, and — since the
 // bytes are written raw — bit-identical predictions); a store saved to a
-// directory must restore to the same fleet.
+// directory must restore to the same fleet. The rules a model decodes
+// from its frozen arena must be the miner's output field for field, and
+// re-saving a loaded model must reproduce the file byte for byte — so
+// model files depend only on what was mined.
 
 #include <atomic>
 #include <filesystem>
@@ -12,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "core/hybrid_predictor.h"
+#include "io/atomic_file.h"
+#include "mining/offline_miner.h"
 #include "proptest/generators.h"
 #include "proptest/proptest.h"
 #include "proptest/shrink.h"
@@ -60,22 +65,65 @@ ModelCase GenModelCase(Random& rng) {
   return c;
 }
 
+/// Empty when `got` equals `want` field for field and in order;
+/// otherwise names the first difference, prefixed with `what`.
+std::string PatternsDiffer(const std::vector<TrajectoryPattern>& want,
+                           const std::vector<TrajectoryPattern>& got,
+                           const std::string& what) {
+  if (got.size() != want.size()) return what + ": pattern count differs";
+  for (size_t i = 0; i < want.size(); ++i) {
+    const TrajectoryPattern& a = want[i];
+    const TrajectoryPattern& b = got[i];
+    if (a.premise != b.premise || a.consequence != b.consequence ||
+        a.confidence != b.confidence || a.support != b.support) {
+      return what + ": pattern " + std::to_string(i) + " differs (" +
+             a.ToString() + " vs " + b.ToString() + ")";
+    }
+  }
+  return "";
+}
+
 std::string CheckModelRoundTrip(const ModelCase& input) {
+  const HybridPredictorOptions options = PredictorOptions();
   StatusOr<std::unique_ptr<HybridPredictor>> trained =
-      HybridPredictor::Train(input.history, PredictorOptions());
+      HybridPredictor::Train(input.history, options);
   if (!trained.ok()) return "Train failed: " + trained.status().ToString();
   const HybridPredictor& original = **trained;
+
+  // The arena is the model's only rule store: decoding it must give back
+  // exactly what the miner produced.
+  StatusOr<OfflineMineResult> mined =
+      MineOffline(input.history, options.regions, options.mining);
+  if (!mined.ok()) return "MineOffline failed: " + mined.status().ToString();
+  std::string failure = PatternsDiffer(mined->mined.patterns,
+                                       original.Patterns(), "decoded rules");
+  if (!failure.empty()) return failure;
 
   const std::string path = ScratchPath("model");
   const Status saved = original.SaveToFile(path);
   if (!saved.ok()) return "SaveToFile failed: " + saved.ToString();
   StatusOr<std::unique_ptr<HybridPredictor>> loaded =
       HybridPredictor::LoadFromFile(path);
-  std::filesystem::remove(path);
   if (!loaded.ok()) {
+    std::filesystem::remove(path);
     return "LoadFromFile failed: " + loaded.status().ToString();
   }
   const HybridPredictor& restored = **loaded;
+
+  // Re-saving the loaded model must write the same bytes.
+  const std::string resaved_path = ScratchPath("model_resaved");
+  const Status resaved = restored.SaveToFile(resaved_path);
+  const StatusOr<std::string> bytes = ReadFileToString(path);
+  const StatusOr<std::string> resaved_bytes = ReadFileToString(resaved_path);
+  std::filesystem::remove(path);
+  std::filesystem::remove(resaved_path);
+  if (!resaved.ok()) return "re-SaveToFile failed: " + resaved.ToString();
+  if (!bytes.ok() || !resaved_bytes.ok()) return "cannot read a model file";
+  if (*bytes != *resaved_bytes) {
+    return "re-saving the loaded model changed the file (" +
+           std::to_string(bytes->size()) + " vs " +
+           std::to_string(resaved_bytes->size()) + " bytes)";
+  }
 
   if (restored.regions().NumRegions() != original.regions().NumRegions()) {
     return "region count changed across the round trip";
@@ -89,17 +137,9 @@ std::string CheckModelRoundTrip(const ModelCase& input) {
       return "region " + std::to_string(i) + " changed across the round trip";
     }
   }
-  if (restored.patterns().size() != original.patterns().size()) {
-    return "pattern count changed across the round trip";
-  }
-  for (size_t i = 0; i < original.patterns().size(); ++i) {
-    const TrajectoryPattern& a = original.patterns()[i];
-    const TrajectoryPattern& b = restored.patterns()[i];
-    if (a.premise != b.premise || a.consequence != b.consequence ||
-        a.confidence != b.confidence || a.support != b.support) {
-      return "pattern " + std::to_string(i) + " changed across the round trip";
-    }
-  }
+  failure = PatternsDiffer(original.Patterns(), restored.Patterns(),
+                           "round trip");
+  if (!failure.empty()) return failure;
   if (restored.summary().num_sub_trajectories !=
       original.summary().num_sub_trajectories) {
     return "sub-trajectory count changed across the round trip";

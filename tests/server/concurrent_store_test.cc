@@ -163,8 +163,8 @@ TEST(ConcurrentStoreTest, ParallelWritersAndReadersKeepStateExact) {
     auto reference_model = reference.GetPredictor(id);
     ASSERT_EQ(concurrent_model.ok(), reference_model.ok());
     if (concurrent_model.ok()) {
-      EXPECT_EQ((*concurrent_model)->patterns().size(),
-                (*reference_model)->patterns().size());
+      EXPECT_EQ((*concurrent_model)->Patterns().size(),
+                (*reference_model)->Patterns().size());
     }
     auto got = store.PredictLocation(id, tq, 3);
     auto want = reference.PredictLocation(id, tq, 3);

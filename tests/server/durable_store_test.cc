@@ -144,13 +144,13 @@ TEST_F(DurableStoreTest, ReplayedDefaultStoreKeepsOneModelPerObject) {
     }
     auto model = store.GetPredictor(0);
     ASSERT_TRUE(model.ok());
-    live_patterns = (*model)->patterns().size();
+    live_patterns = (*model)->Patterns().size();
   }
   auto restored = MovingObjectStore::LoadFromDirectory(dir, Options(dir));
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   auto first = restored->GetPredictor(0);
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ((*first)->patterns().size(), live_patterns);
+  EXPECT_EQ((*first)->Patterns().size(), live_patterns);
   const uint64_t frozen_bytes =
       restored->metrics_snapshot().counter("tpt.frozen_bytes");
   EXPECT_EQ(frozen_bytes, (*first)->summary().tpt_frozen_bytes);

@@ -232,9 +232,9 @@ TEST(EpochStressTest, AggressiveFreeChurnOnAHotObject) {
         }
         // GetPredictor's shared snapshot must outlive any later swap.
         const auto model = store.GetPredictor(kHot);
-        if (model.ok() && (*model)->patterns().empty() &&
-            !(*model)->patterns().empty()) {
-          reader_failures.fetch_add(1);  // Unreachable; forces the deref.
+        if (model.ok() && (*model)->tpt().size() !=
+                              (*model)->summary().num_patterns) {
+          reader_failures.fetch_add(1);  // A torn or freed model.
           return;
         }
       }

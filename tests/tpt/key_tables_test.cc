@@ -74,30 +74,43 @@ TEST_F(KeyTablesPaperTest, EncodePatternReproducesTableIII) {
             "1000101");
 }
 
+TEST_F(KeyTablesPaperTest, DecodePremiseInvertsEncodePattern) {
+  for (const TrajectoryPattern& p : patterns_) {
+    const PatternKey key = tables_.EncodePattern(p, regions_);
+    EXPECT_EQ(tables_.DecodePremise(key.premise().words()), p.premise)
+        << p.ToString();
+  }
+}
+
 TEST_F(KeyTablesPaperTest, EncodeQueryMatchesPaperExample) {
   // §VI-B: Jane's recent movements R0^0 and R1^0, tq = 2 -> 1000011.
-  auto q = tables_.EncodeQuery({0, 1}, 2);
-  ASSERT_TRUE(q.ok());
-  EXPECT_EQ(q->ToString(), "1000011");
+  PatternKey q;
+  ASSERT_TRUE(tables_.EncodeQueryInto({0, 1}, 2, &q).ok());
+  EXPECT_EQ(q.ToString(), "1000011");
 }
 
 TEST_F(KeyTablesPaperTest, EncodeQueryUnknownOffsetIsNotFound) {
-  EXPECT_EQ(tables_.EncodeQuery({0}, 0).status().code(),
+  PatternKey q;
+  EXPECT_EQ(tables_.EncodeQueryInto({0}, 0, &q).code(),
             StatusCode::kNotFound);
 }
 
 TEST_F(KeyTablesPaperTest, EncodeQueryIntervalSetsAllCoveredOffsets) {
-  const PatternKey k = tables_.EncodeQueryInterval({0}, 1, 2);
+  PatternKey k;
+  tables_.EncodeQueryIntervalInto({0}, 1, 2, &k);
   EXPECT_EQ(k.consequence().Count(), 2u);
-  const PatternKey only_two = tables_.EncodeQueryInterval({0}, 2, 5);
+  PatternKey only_two;
+  tables_.EncodeQueryIntervalInto({0}, 2, 5, &only_two);
   EXPECT_EQ(only_two.consequence().Count(), 1u);
   EXPECT_TRUE(only_two.consequence().Test(1));
-  const PatternKey none = tables_.EncodeQueryInterval({0}, 5, 9);
+  PatternKey none;
+  tables_.EncodeQueryIntervalInto({0}, 5, 9, &none);
   EXPECT_TRUE(none.consequence().None());
 }
 
 TEST_F(KeyTablesPaperTest, EncodeQueryIntervalEmptyWhenReversed) {
-  const PatternKey k = tables_.EncodeQueryInterval({0}, 3, 1);
+  PatternKey k;
+  tables_.EncodeQueryIntervalInto({0}, 3, 1, &k);
   EXPECT_TRUE(k.consequence().None());
 }
 
@@ -112,21 +125,43 @@ TEST(KeyTablesTest, EmptyPatternsGiveEmptyConsequenceTable) {
 TEST(KeyTablesTest, EncodeQueryIntervalOnEmptyTablesHasNoConsequence) {
   const FrequentRegionSet regions = PaperRegions();
   const KeyTables tables = KeyTables::Build(regions, {});
-  const PatternKey k = tables.EncodeQueryInterval({0}, 1, 4);
+  PatternKey k;
+  tables.EncodeQueryIntervalInto({0}, 1, 4, &k);
   EXPECT_TRUE(k.consequence().None());
   EXPECT_TRUE(k.premise().Test(0));
+}
+
+TEST(KeyTablesTest, DecodePremiseReadsEveryWord) {
+  // 130 regions span three premise words; bit i decodes to region i.
+  FrequentRegionSet regions;
+  regions.set_period(130);
+  for (int id = 0; id < 130; ++id) {
+    FrequentRegion r;
+    r.id = id;
+    r.offset = id;
+    regions.AddRegion(r);
+  }
+  const KeyTables tables = KeyTables::Build(regions, {});
+  const std::vector<int> premise = {0, 1, 63, 64, 65, 127, 128, 129};
+  PatternKey key;
+  tables.EncodeQueryIntervalInto(premise, 1, 0, &key);
+  EXPECT_EQ(tables.DecodePremise(key.premise().words()), premise);
+  key.mutable_premise().Reset();
+  EXPECT_TRUE(tables.DecodePremise(key.premise().words()).empty());
 }
 
 TEST(KeyTablesDeathTest, EncodeQueryBadRegionAborts) {
   const FrequentRegionSet regions = PaperRegions();
   const KeyTables tables = KeyTables::Build(regions, PaperPatterns());
-  EXPECT_DEATH((void)tables.EncodeQuery({7}, 1), "HPM_CHECK");
+  PatternKey q;
+  EXPECT_DEATH((void)tables.EncodeQueryInto({7}, 1, &q), "HPM_CHECK");
 }
 
 TEST(KeyTablesDeathTest, EncodeQueryNegativeRegionAborts) {
   const FrequentRegionSet regions = PaperRegions();
   const KeyTables tables = KeyTables::Build(regions, PaperPatterns());
-  EXPECT_DEATH((void)tables.EncodeQuery({-1}, 1), "HPM_CHECK");
+  PatternKey q;
+  EXPECT_DEATH((void)tables.EncodeQueryInto({-1}, 1, &q), "HPM_CHECK");
 }
 
 TEST(KeyTablesDeathTest, EncodePatternUnknownConsequenceOffsetAborts) {
