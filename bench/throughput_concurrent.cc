@@ -554,10 +554,11 @@ ObjectStoreOptions RebuildStoreOptions(bool rebuilds_on) {
   options.rebuild.miner.window_periods = 8;
   options.rebuild.drift_threshold =
       rebuilds_on ? kRebuildOnThreshold : kRebuildOffThreshold;
-  // Two knobs keep rebuilds below query traffic: idle_priority (default
-  // on) makes a running build yield the core to any waking query or
-  // ingest thread, and the start throttle bounds the worker's duty
-  // cycle when the whole drifting fleet requests rebuilds at once.
+  // Two things keep rebuilds below query traffic: the worker's idle
+  // scheduling priority makes a running build yield the core to any
+  // waking query or ingest thread, and the start throttle bounds the
+  // worker's duty cycle when the whole drifting fleet requests rebuilds
+  // at once.
   // Duty cycle is the one that matters on a 1-core host: a build churns
   // megabytes of mining state, and a back-to-back build storm evicts
   // the fleet's frozen TPTs from cache so every query walks cold —

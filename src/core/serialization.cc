@@ -1,6 +1,6 @@
 // Binary persistence for trained HybridPredictor models.
 //
-// Format v2 (little-endian, as written by the host):
+// Format v2 (little-endian, encoded with common/codec.h):
 //   magic "HPM1" | version u32 | options | regions | patterns | num_subs u64
 //   | builder_bytes u64 | frozen TPT section ("FTPT", own CRC)
 //   | footer: magic "HPMC" | crc32 u32 of every preceding byte
@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "common/crc32.h"
+#include "common/codec.h"
 #include "core/hybrid_predictor.h"
 #include "io/atomic_file.h"
 #include "tpt/frozen_tpt.h"
@@ -35,144 +35,92 @@ constexpr char kMagic[4] = {'H', 'P', 'M', '1'};
 constexpr char kFooterMagic[4] = {'H', 'P', 'M', 'C'};
 constexpr uint32_t kFormatVersion = 2;
 constexpr size_t kFooterSize = sizeof(kFooterMagic) + sizeof(uint32_t);
+/// A pattern record with an empty premise: premise size, consequence,
+/// confidence and support, 8 bytes each.
+constexpr uint64_t kMinPatternBytes = 4 * 8;
 
-/// Serialises trivially-copyable values into an in-memory buffer; the
-/// whole buffer is checksummed and written atomically at the end.
-class BinaryWriter {
- public:
-  template <typename T>
-  void Write(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    WriteBytes(&value, sizeof(T));
-  }
-
-  void WriteBytes(const void* data, size_t n) {
-    buffer_.append(static_cast<const char*>(data), n);
-  }
-
-  const std::string& buffer() const { return buffer_; }
-
- private:
-  std::string buffer_;
-};
-
-/// Reads trivially-copyable values back out of a byte range, latching an
-/// error (like the old FILE-based reader) on reads past the end.
-class BinaryReader {
- public:
-  BinaryReader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  template <typename T>
-  void Read(T* value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    ReadBytes(value, sizeof(T));
-  }
-
-  void ReadBytes(void* data, size_t n) {
-    if (failed_ || n > size_ - pos_) {
-      failed_ = true;
-      return;
-    }
-    std::memcpy(data, data_ + pos_, n);
-    pos_ += n;
-  }
-
-  bool failed() const { return failed_; }
-  size_t pos() const { return pos_; }
-  size_t remaining() const { return size_ - pos_; }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-};
-
-void WritePoint(BinaryWriter* f, const Point& p) {
-  f->Write(p.x);
-  f->Write(p.y);
+void WritePoint(std::string* f, const Point& p) {
+  codec::PutF64(f, p.x);
+  codec::PutF64(f, p.y);
 }
 
-Point ReadPoint(BinaryReader* f) {
+Point ReadPoint(codec::Cursor* f) {
   Point p;
-  f->Read(&p.x);
-  f->Read(&p.y);
+  f->F64(&p.x);
+  f->F64(&p.y);
   return p;
 }
 
-void WriteBox(BinaryWriter* f, const BoundingBox& box) {
-  const uint8_t empty = box.IsEmpty() ? 1 : 0;
-  f->Write(empty);
+void WriteBox(std::string* f, const BoundingBox& box) {
+  codec::PutU8(f, box.IsEmpty() ? 1 : 0);
   if (!box.IsEmpty()) {
     WritePoint(f, box.min());
     WritePoint(f, box.max());
   }
 }
 
-BoundingBox ReadBox(BinaryReader* f) {
+BoundingBox ReadBox(codec::Cursor* f) {
   uint8_t empty = 0;
-  f->Read(&empty);
+  f->U8(&empty);
   if (empty) return BoundingBox();
   const Point lo = ReadPoint(f);
   const Point hi = ReadPoint(f);
   return BoundingBox(lo, hi);
 }
 
-void WriteOptions(BinaryWriter* f, const HybridPredictorOptions& o) {
-  f->Write(o.regions.period);
-  f->Write(o.regions.dbscan.eps);
-  f->Write(static_cast<int64_t>(o.regions.dbscan.min_pts));
-  f->Write(static_cast<int64_t>(o.regions.limit_sub_trajectories));
-  f->Write(o.mining.min_confidence);
-  f->Write(static_cast<int64_t>(o.mining.min_support));
-  f->Write(static_cast<int64_t>(o.mining.max_pattern_length));
-  f->Write(o.mining.premise_window);
-  f->Write(static_cast<uint8_t>(o.mining.enable_pruning));
-  f->Write(static_cast<int64_t>(o.tpt.max_node_entries));
-  f->Write(static_cast<int64_t>(o.tpt.min_node_entries));
-  f->Write(static_cast<int64_t>(o.weight_function));
-  f->Write(o.distant_threshold);
-  f->Write(o.time_relaxation);
-  f->Write(o.region_match_slack);
-  f->Write(static_cast<int64_t>(o.rmf.retrospect));
-  f->Write(static_cast<uint8_t>(o.rmf.auto_retrospect));
-  f->Write(static_cast<int64_t>(o.rmf.window));
+void WriteOptions(std::string* f, const HybridPredictorOptions& o) {
+  codec::PutI64(f, o.regions.period);
+  codec::PutF64(f, o.regions.dbscan.eps);
+  codec::PutI64(f, o.regions.dbscan.min_pts);
+  codec::PutI64(f, o.regions.limit_sub_trajectories);
+  codec::PutF64(f, o.mining.min_confidence);
+  codec::PutI64(f, o.mining.min_support);
+  codec::PutI64(f, o.mining.max_pattern_length);
+  codec::PutI64(f, o.mining.premise_window);
+  codec::PutU8(f, o.mining.enable_pruning ? 1 : 0);
+  codec::PutI64(f, o.tpt.max_node_entries);
+  codec::PutI64(f, o.tpt.min_node_entries);
+  codec::PutI64(f, static_cast<int64_t>(o.weight_function));
+  codec::PutI64(f, o.distant_threshold);
+  codec::PutI64(f, o.time_relaxation);
+  codec::PutF64(f, o.region_match_slack);
+  codec::PutI64(f, o.rmf.retrospect);
+  codec::PutU8(f, o.rmf.auto_retrospect ? 1 : 0);
+  codec::PutI64(f, o.rmf.window);
   WriteBox(f, o.rmf.clamp_box);
 }
 
-HybridPredictorOptions ReadOptions(BinaryReader* f) {
-  HybridPredictorOptions o;
+/// Reads an int64 field into a narrower integer option.
+template <typename T>
+void ReadNarrow(codec::Cursor* f, T* out) {
   int64_t i64 = 0;
+  f->I64(&i64);
+  *out = static_cast<T>(i64);
+}
+
+HybridPredictorOptions ReadOptions(codec::Cursor* f) {
+  HybridPredictorOptions o;
   uint8_t u8 = 0;
-  f->Read(&o.regions.period);
-  f->Read(&o.regions.dbscan.eps);
-  f->Read(&i64);
-  o.regions.dbscan.min_pts = static_cast<int>(i64);
-  f->Read(&i64);
-  o.regions.limit_sub_trajectories = static_cast<int>(i64);
-  f->Read(&o.mining.min_confidence);
-  f->Read(&i64);
-  o.mining.min_support = static_cast<int>(i64);
-  f->Read(&i64);
-  o.mining.max_pattern_length = static_cast<int>(i64);
-  f->Read(&o.mining.premise_window);
-  f->Read(&u8);
+  f->I64(&o.regions.period);
+  f->F64(&o.regions.dbscan.eps);
+  ReadNarrow(f, &o.regions.dbscan.min_pts);
+  ReadNarrow(f, &o.regions.limit_sub_trajectories);
+  f->F64(&o.mining.min_confidence);
+  ReadNarrow(f, &o.mining.min_support);
+  ReadNarrow(f, &o.mining.max_pattern_length);
+  f->I64(&o.mining.premise_window);
+  f->U8(&u8);
   o.mining.enable_pruning = u8 != 0;
-  f->Read(&i64);
-  o.tpt.max_node_entries = static_cast<int>(i64);
-  f->Read(&i64);
-  o.tpt.min_node_entries = static_cast<int>(i64);
-  f->Read(&i64);
-  o.weight_function = static_cast<WeightFunction>(i64);
-  f->Read(&o.distant_threshold);
-  f->Read(&o.time_relaxation);
-  f->Read(&o.region_match_slack);
-  f->Read(&i64);
-  o.rmf.retrospect = static_cast<int>(i64);
-  f->Read(&u8);
+  ReadNarrow(f, &o.tpt.max_node_entries);
+  ReadNarrow(f, &o.tpt.min_node_entries);
+  ReadNarrow(f, &o.weight_function);
+  f->I64(&o.distant_threshold);
+  f->I64(&o.time_relaxation);
+  f->F64(&o.region_match_slack);
+  ReadNarrow(f, &o.rmf.retrospect);
+  f->U8(&u8);
   o.rmf.auto_retrospect = u8 != 0;
-  f->Read(&i64);
-  o.rmf.window = static_cast<int>(i64);
+  ReadNarrow(f, &o.rmf.window);
   o.rmf.clamp_box = ReadBox(f);
   return o;
 }
@@ -180,42 +128,37 @@ HybridPredictorOptions ReadOptions(BinaryReader* f) {
 }  // namespace
 
 Status HybridPredictor::SaveToFile(const std::string& path) const {
-  BinaryWriter f;
-  f.WriteBytes(kMagic, sizeof(kMagic));
-  f.Write(kFormatVersion);
-  WriteOptions(&f, options_);
+  std::string content(kMagic, sizeof(kMagic));
+  codec::PutU32(&content, kFormatVersion);
+  WriteOptions(&content, options_);
 
-  f.Write(static_cast<uint64_t>(regions_.NumRegions()));
+  codec::PutU64(&content, regions_.NumRegions());
   for (const FrequentRegion& r : regions_.regions()) {
-    f.Write(static_cast<int64_t>(r.id));
-    f.Write(r.offset);
-    f.Write(static_cast<int64_t>(r.index_at_offset));
-    WritePoint(&f, r.center);
-    WriteBox(&f, r.mbr);
-    f.Write(static_cast<int64_t>(r.support));
+    codec::PutI64(&content, r.id);
+    codec::PutI64(&content, r.offset);
+    codec::PutI64(&content, r.index_at_offset);
+    WritePoint(&content, r.center);
+    WriteBox(&content, r.mbr);
+    codec::PutI64(&content, r.support);
   }
 
   const std::vector<TrajectoryPattern> patterns = Patterns();
-  f.Write(static_cast<uint64_t>(patterns.size()));
+  codec::PutU64(&content, patterns.size());
   for (const TrajectoryPattern& p : patterns) {
-    f.Write(static_cast<uint64_t>(p.premise.size()));
-    for (int id : p.premise) f.Write(static_cast<int64_t>(id));
-    f.Write(static_cast<int64_t>(p.consequence));
-    f.Write(p.confidence);
-    f.Write(static_cast<int64_t>(p.support));
+    codec::PutU64(&content, p.premise.size());
+    for (int id : p.premise) codec::PutI64(&content, id);
+    codec::PutI64(&content, p.consequence);
+    codec::PutF64(&content, p.confidence);
+    codec::PutI64(&content, p.support);
   }
 
-  f.Write(static_cast<uint64_t>(summary_.num_sub_trajectories));
-  f.Write(static_cast<uint64_t>(summary_.tpt_memory_bytes));
+  codec::PutU64(&content, summary_.num_sub_trajectories);
+  codec::PutU64(&content, summary_.tpt_memory_bytes);
+  tpt_.AppendTo(&content);
 
-  std::string frozen_section;
-  tpt_.AppendTo(&frozen_section);
-  f.WriteBytes(frozen_section.data(), frozen_section.size());
-
-  std::string content = f.buffer();
   const uint32_t crc = Crc32(content);
-  content.append(kFooterMagic, sizeof(kFooterMagic));
-  content.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  codec::PutBytes(&content, kFooterMagic, sizeof(kFooterMagic));
+  codec::PutU32(&content, crc);
   return AtomicWriteFile(path, content).Annotate("model");
 }
 
@@ -243,23 +186,23 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
   }
   const size_t body_size = content.size() - kFooterSize;
   uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc,
-              content.data() + body_size + sizeof(kFooterMagic),
-              sizeof(stored_crc));
+  codec::Cursor(content.data() + body_size + sizeof(kFooterMagic),
+                sizeof(stored_crc))
+      .U32(&stored_crc);
   if (Crc32(content.data(), body_size) != stored_crc) {
     return Status::DataLoss("model file checksum mismatch: " + path);
   }
 
-  BinaryReader f(content.data() + sizeof(kMagic),
-                 body_size - sizeof(kMagic));
+  codec::Cursor f(content.data() + sizeof(kMagic),
+                  body_size - sizeof(kMagic));
   uint32_t version = 0;
-  f.Read(&version);
+  f.U32(&version);
   if (version != kFormatVersion) {
     return Status::FailedPrecondition("unsupported model format version " +
                                       std::to_string(version));
   }
   HybridPredictorOptions options = ReadOptions(&f);
-  if (f.failed()) {
+  if (!f.ok()) {
     return Status::InvalidArgument("truncated model file: " + path);
   }
   if (options.regions.period <= 0 ||
@@ -281,23 +224,19 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
   FrequentRegionSet regions;
   regions.set_period(options.regions.period);
   uint64_t num_regions = 0;
-  f.Read(&num_regions);
-  if (f.failed() || num_regions > (1u << 24)) {
+  f.U64(&num_regions);
+  if (!f.ok() || num_regions > (1u << 24)) {
     return Status::InvalidArgument("corrupt region count");
   }
   for (uint64_t i = 0; i < num_regions; ++i) {
     FrequentRegion r;
-    int64_t i64 = 0;
-    f.Read(&i64);
-    r.id = static_cast<int>(i64);
-    f.Read(&r.offset);
-    f.Read(&i64);
-    r.index_at_offset = static_cast<int>(i64);
+    ReadNarrow(&f, &r.id);
+    f.I64(&r.offset);
+    ReadNarrow(&f, &r.index_at_offset);
     r.center = ReadPoint(&f);
     r.mbr = ReadBox(&f);
-    f.Read(&i64);
-    r.support = static_cast<int>(i64);
-    if (f.failed() || r.id != static_cast<int>(i) || r.offset < 0 ||
+    ReadNarrow(&f, &r.support);
+    if (!f.ok() || r.id != static_cast<int>(i) || r.offset < 0 ||
         r.offset >= options.regions.period) {
       return Status::InvalidArgument("corrupt region record");
     }
@@ -306,21 +245,24 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
 
   std::vector<TrajectoryPattern> patterns;
   uint64_t num_patterns = 0;
-  f.Read(&num_patterns);
-  if (f.failed() || num_patterns > (1u << 28)) {
+  f.U64(&num_patterns);
+  // A count the remaining bytes cannot hold is corrupt: reject it before
+  // reserving room for it.
+  if (!f.ok() || num_patterns > (1u << 28) ||
+      num_patterns > f.remaining() / kMinPatternBytes) {
     return Status::InvalidArgument("corrupt pattern count");
   }
   patterns.reserve(num_patterns);
   for (uint64_t i = 0; i < num_patterns; ++i) {
     TrajectoryPattern p;
     uint64_t premise_size = 0;
-    f.Read(&premise_size);
-    if (f.failed() || premise_size > 64) {
+    f.U64(&premise_size);
+    if (!f.ok() || premise_size > 64) {
       return Status::InvalidArgument("corrupt premise size");
     }
     for (uint64_t j = 0; j < premise_size; ++j) {
       int64_t id = 0;
-      f.Read(&id);
+      f.I64(&id);
       if (id < 0 || static_cast<uint64_t>(id) >= num_regions) {
         return Status::InvalidArgument("premise region id out of range");
       }
@@ -331,16 +273,15 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
       }
       p.premise.push_back(static_cast<int>(id));
     }
-    int64_t i64 = 0;
-    f.Read(&i64);
-    if (i64 < 0 || static_cast<uint64_t>(i64) >= num_regions) {
+    int64_t consequence = 0;
+    f.I64(&consequence);
+    if (consequence < 0 || static_cast<uint64_t>(consequence) >= num_regions) {
       return Status::InvalidArgument("consequence region id out of range");
     }
-    p.consequence = static_cast<int>(i64);
-    f.Read(&p.confidence);
-    f.Read(&i64);
-    p.support = static_cast<int>(i64);
-    if (f.failed()) {
+    p.consequence = static_cast<int>(consequence);
+    f.F64(&p.confidence);
+    ReadNarrow(&f, &p.support);
+    if (!f.ok()) {
       return Status::InvalidArgument("truncated pattern record");
     }
     patterns.push_back(std::move(p));
@@ -348,9 +289,9 @@ StatusOr<std::unique_ptr<HybridPredictor>> HybridPredictor::LoadFromFile(
 
   uint64_t num_subs = 0;
   uint64_t builder_bytes = 0;
-  f.Read(&num_subs);
-  f.Read(&builder_bytes);
-  if (f.failed()) {
+  f.U64(&num_subs);
+  f.U64(&builder_bytes);
+  if (!f.ok()) {
     return Status::InvalidArgument("truncated model file: " + path);
   }
 

@@ -10,154 +10,82 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "common/crc32.h"
+#include "common/codec.h"
 #include "common/fault_injection.h"
 #include "io/atomic_file.h"
 #include "io/eintr.h"
+#include "io/store_layout.h"
 
 namespace hpm {
 
 namespace {
 
 constexpr char kWalMagic[8] = {'H', 'P', 'M', 'W', 'A', 'L', '1', '\0'};
-constexpr size_t kFrameHeaderBytes = 8;  // u32 length + u32 crc
 constexpr size_t kHeaderPayloadBytes = sizeof(kWalMagic) + 4 + 8 + 8;
 // Record payloads are tens of bytes; anything past this bound is a
 // corrupt length field, not a large record.
 constexpr uint32_t kMaxPayloadBytes = 1 << 20;
 
-void PutU32(std::string* out, uint32_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-void PutF64(std::string* out, double v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-double GetF64(const char* p) {
-  double v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-std::string FrameFor(const std::string& payload) {
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  PutU32(&frame, Crc32(payload));
-  frame += payload;
-  return frame;
-}
-
 std::string HeaderPayload(int shard, uint64_t seq, uint64_t base_gen) {
-  std::string payload;
-  payload.reserve(kHeaderPayloadBytes);
-  payload.append(kWalMagic, sizeof(kWalMagic));
-  PutU32(&payload, static_cast<uint32_t>(shard));
-  PutU64(&payload, seq);
-  PutU64(&payload, base_gen);
+  std::string payload(kWalMagic, sizeof(kWalMagic));
+  codec::PutU32(&payload, static_cast<uint32_t>(shard));
+  codec::PutU64(&payload, seq);
+  codec::PutU64(&payload, base_gen);
   return payload;
 }
 
-bool ParseHeaderPayload(const std::string& payload, int* shard,
-                        uint64_t* seq, uint64_t* base_gen) {
-  if (payload.size() != kHeaderPayloadBytes) return false;
-  if (std::memcmp(payload.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
+bool ParseHeaderPayload(std::string_view payload, int* shard, uint64_t* seq,
+                        uint64_t* base_gen) {
+  codec::Cursor cursor(payload);
+  char magic[sizeof(kWalMagic)];
+  uint32_t raw_shard = 0;
+  if (!cursor.Bytes(magic, sizeof(magic)) ||
+      std::memcmp(magic, kWalMagic, sizeof(magic)) != 0 ||
+      !cursor.U32(&raw_shard) || !cursor.U64(seq) || !cursor.U64(base_gen) ||
+      !cursor.done()) {
     return false;
   }
-  const char* p = payload.data() + sizeof(kWalMagic);
-  *shard = static_cast<int>(GetU32(p));
-  *seq = GetU64(p + 4);
-  *base_gen = GetU64(p + 12);
+  *shard = static_cast<int>(raw_shard);
   return true;
 }
 
 std::string RecordPayload(const WalRecord& record) {
   std::string payload;
-  payload.push_back(static_cast<char>(record.type));
-  PutU64(&payload, static_cast<uint64_t>(record.id));
+  codec::PutU8(&payload, static_cast<uint8_t>(record.type));
+  codec::PutI64(&payload, record.id);
   if (record.type == WalRecord::Type::kReport) {
-    PutU64(&payload, static_cast<uint64_t>(record.t));
-    PutF64(&payload, record.x);
-    PutF64(&payload, record.y);
+    codec::PutI64(&payload, record.t);
+    codec::PutF64(&payload, record.x);
+    codec::PutF64(&payload, record.y);
   } else if (record.type == WalRecord::Type::kRejectedBaseline) {
-    PutU64(&payload, static_cast<uint64_t>(record.t));
+    codec::PutI64(&payload, record.t);
   }
   return payload;
 }
 
-bool ParseRecordPayload(const std::string& payload, WalRecord* record) {
-  if (payload.empty()) return false;
-  const auto type = static_cast<WalRecord::Type>(payload[0]);
-  const char* p = payload.data() + 1;
-  switch (type) {
+bool ParseRecordPayload(std::string_view payload, WalRecord* record) {
+  codec::Cursor cursor(payload);
+  uint8_t type = 0;
+  WalRecord parsed;
+  cursor.U8(&type);
+  cursor.I64(&parsed.id);
+  parsed.type = static_cast<WalRecord::Type>(type);
+  switch (parsed.type) {
     case WalRecord::Type::kReport:
-      if (payload.size() != 1 + 8 + 8 + 8 + 8) return false;
-      record->type = type;
-      record->id = static_cast<int64_t>(GetU64(p));
-      record->t = static_cast<int64_t>(GetU64(p + 8));
-      record->x = GetF64(p + 16);
-      record->y = GetF64(p + 24);
-      return true;
+      cursor.I64(&parsed.t);
+      cursor.F64(&parsed.x);
+      cursor.F64(&parsed.y);
+      break;
     case WalRecord::Type::kRejected:
-      if (payload.size() != 1 + 8) return false;
-      record->type = type;
-      record->id = static_cast<int64_t>(GetU64(p));
-      record->t = 0;
-      record->x = 0.0;
-      record->y = 0.0;
-      return true;
+      break;
     case WalRecord::Type::kRejectedBaseline:
-      if (payload.size() != 1 + 8 + 8) return false;
-      record->type = type;
-      record->id = static_cast<int64_t>(GetU64(p));
-      record->t = static_cast<int64_t>(GetU64(p + 8));
-      record->x = 0.0;
-      record->y = 0.0;
-      return true;
+      cursor.I64(&parsed.t);
+      break;
+    default:
+      return false;
   }
-  return false;
-}
-
-std::string SegmentFileName(int shard, uint64_t seq) {
-  return "wal-" + std::to_string(shard) + "-" + std::to_string(seq) + ".log";
-}
-
-bool ParseSegmentFileName(const std::string& name, int* shard,
-                          uint64_t* seq) {
-  int parsed_shard = 0;
-  unsigned long long parsed_seq = 0;  // NOLINT: sscanf needs the C type
-  char tail = '\0';
-  if (std::sscanf(name.c_str(), "wal-%d-%llu.lo%c", &parsed_shard,
-                  &parsed_seq, &tail) != 3 ||
-      tail != 'g' || parsed_shard < 0) {
-    return false;
-  }
-  if (name != SegmentFileName(parsed_shard, parsed_seq)) return false;
-  *shard = parsed_shard;
-  *seq = static_cast<uint64_t>(parsed_seq);
+  if (!cursor.done()) return false;
+  *record = parsed;
   return true;
 }
 
@@ -167,23 +95,23 @@ enum class FrameScan { kOk, kTornTail, kCorrupt };
 /// Extracts the frame at `offset`. kTornTail means the frame runs past
 /// EOF or is the physically last frame with a bad checksum (a crash
 /// mid-overwrite looks the same as a crash mid-append); kCorrupt means a
-/// provably bad frame with more data after it.
-FrameScan ScanFrame(const std::string& content, size_t offset,
-                    std::string* payload, size_t* next_offset) {
+/// provably bad frame with more data after it. `payload` views `content`.
+FrameScan ScanFrame(std::string_view content, size_t offset,
+                    std::string_view* payload, size_t* next_offset) {
   const size_t remaining = content.size() - offset;
-  if (remaining < kFrameHeaderBytes) return FrameScan::kTornTail;
-  const uint32_t length = GetU32(content.data() + offset);
-  if (length > kMaxPayloadBytes) return FrameScan::kCorrupt;
-  if (remaining < kFrameHeaderBytes + length) return FrameScan::kTornTail;
-  const uint32_t stored_crc = GetU32(content.data() + offset + 4);
-  const char* data = content.data() + offset + kFrameHeaderBytes;
-  const bool last_frame =
-      offset + kFrameHeaderBytes + length == content.size();
-  if (Crc32(static_cast<const void*>(data), length) != stored_crc) {
+  if (remaining < codec::kFrameHeaderBytes) return FrameScan::kTornTail;
+  const codec::FrameHeader header =
+      codec::ParseFrameHeader(content.data() + offset);
+  if (header.length > kMaxPayloadBytes) return FrameScan::kCorrupt;
+  const size_t frame_bytes = codec::kFrameHeaderBytes + header.length;
+  if (remaining < frame_bytes) return FrameScan::kTornTail;
+  const char* data = content.data() + offset + codec::kFrameHeaderBytes;
+  if (!header.Verifies(data)) {
+    const bool last_frame = offset + frame_bytes == content.size();
     return last_frame ? FrameScan::kTornTail : FrameScan::kCorrupt;
   }
-  payload->assign(data, length);
-  *next_offset = offset + kFrameHeaderBytes + length;
+  *payload = std::string_view(data, header.length);
+  *next_offset = offset + frame_bytes;
   return FrameScan::kOk;
 }
 
@@ -202,7 +130,7 @@ const char* WalSyncPolicyName(WalSyncPolicy policy) {
 }
 
 std::string EncodeWalFrame(const WalRecord& record) {
-  return FrameFor(RecordPayload(record));
+  return codec::EncodeFrame(RecordPayload(record));
 }
 
 std::vector<WalSegmentInfo> ListWalSegments(const std::string& dir) {
@@ -220,23 +148,20 @@ std::vector<WalSegmentInfo> ListWalSegments(const std::string& dir) {
     const int fd =
         RetryOnEintr([&] { return ::open(info.path.c_str(), O_RDONLY); });
     if (fd >= 0) {
-      char buf[kFrameHeaderBytes + kHeaderPayloadBytes];
+      char buf[codec::kFrameHeaderBytes + kHeaderPayloadBytes];
       const ssize_t n = ReadFullFd(fd, buf, sizeof(buf));
       ::close(fd);
-      if (n == static_cast<ssize_t>(sizeof(buf)) &&
-          GetU32(buf) == kHeaderPayloadBytes &&
-          Crc32(static_cast<const void*>(buf + kFrameHeaderBytes),
-                kHeaderPayloadBytes) ==
-              GetU32(buf + 4)) {
-        int header_shard = 0;
-        uint64_t header_seq = 0;
-        const std::string payload(buf + kFrameHeaderBytes,
-                                  kHeaderPayloadBytes);
-        info.header_ok =
-            ParseHeaderPayload(payload, &header_shard, &header_seq,
-                               &info.base_gen) &&
-            header_shard == info.shard && header_seq == info.seq;
-      }
+      std::string_view payload;
+      size_t header_end = 0;
+      int header_shard = 0;
+      uint64_t header_seq = 0;
+      info.header_ok =
+          n == static_cast<ssize_t>(sizeof(buf)) &&
+          ScanFrame(std::string_view(buf, sizeof(buf)), 0, &payload,
+                    &header_end) == FrameScan::kOk &&
+          ParseHeaderPayload(payload, &header_shard, &header_seq,
+                             &info.base_gen) &&
+          header_shard == info.shard && header_seq == info.seq;
     }
     segments.push_back(std::move(info));
   }
@@ -255,7 +180,7 @@ StatusOr<WalSegmentContents> ReadWalSegment(const std::string& path,
 
   WalSegmentContents result;
   size_t offset = 0;
-  std::string payload;
+  std::string_view payload;
 
   // Header frame first. A torn header means the crash hit segment
   // creation itself: nothing was ever appended, so the whole file is
@@ -360,7 +285,8 @@ Status WalWriter::OpenSegment() {
     return Status::DataLoss("cannot create wal segment " + path_ + ": " +
                             std::strerror(errno));
   }
-  const std::string frame = FrameFor(HeaderPayload(shard_, seq_, base_gen_));
+  const std::string frame =
+      codec::EncodeFrame(HeaderPayload(shard_, seq_, base_gen_));
   const ssize_t written = WriteAllFd(fd_, frame.data(), frame.size());
   if (written != static_cast<ssize_t>(frame.size()) ||
       RetryOnEintr([&] { return ::fdatasync(fd_); }) != 0) {
@@ -387,7 +313,7 @@ Status WalWriter::Append(const WalRecord& record, bool* synced) {
   }
   const std::string frame = EncodeWalFrame(record);
   if (segment_bytes_ + frame.size() > options_.max_segment_bytes &&
-      segment_bytes_ > kFrameHeaderBytes + kHeaderPayloadBytes) {
+      segment_bytes_ > codec::kFrameHeaderBytes + kHeaderPayloadBytes) {
     HPM_RETURN_IF_ERROR(Rotate(base_gen_));
   }
 

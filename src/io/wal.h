@@ -10,8 +10,11 @@
 //
 // On-disk layout (all inside one flat directory, `wal_dir`):
 //   wal-<shard>-<seq>.log    one segment: a header frame followed by
-//                            record frames, strictly appended
-//   frame                    u32 payload_len | u32 crc32(payload) | payload
+//                            record frames, strictly appended (the name
+//                            is io/store_layout.h's SegmentFileName)
+//   frame                    the shared CRC frame of common/codec.h,
+//                            u32 payload_len | u32 crc32(payload) | payload,
+//                            here capped at 1 MiB of payload
 //   header payload           "HPMWAL1\0" magic, u32 shard, u64 seq,
 //                            u64 base_gen
 //   record payload           u8 type, i64 id [, i64 t, f64 x, f64 y]

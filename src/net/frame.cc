@@ -2,23 +2,14 @@
 
 #include <sys/socket.h>
 
-#include "common/crc32.h"
+#include "common/codec.h"
 #include "common/fault_injection.h"
-#include "net/wire.h"
 
 namespace hpm {
 
-namespace {
-constexpr size_t kFrameHeaderBytes = 8;  // u32 length + u32 crc
-}  // namespace
-
 Status SendFrame(Socket& socket, const std::string& payload,
                  Deadline deadline) {
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  wire::PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  wire::PutU32(&frame, Crc32(payload));
-  frame += payload;
+  const std::string frame = codec::EncodeFrame(payload);
 
   const Status fault = HPM_FAULT_HIT("net/send");
   if (!fault.ok()) {
@@ -37,26 +28,22 @@ StatusOr<std::string> RecvFrame(Socket& socket, Deadline deadline,
                                 bool* clean_eof) {
   if (clean_eof != nullptr) *clean_eof = false;
   HPM_RETURN_IF_ERROR(HPM_FAULT_HIT("net/recv"));
-  char header[kFrameHeaderBytes];
-  HPM_RETURN_IF_ERROR(
-      socket.RecvAll(header, sizeof(header), deadline, clean_eof));
-  wire::Cursor cursor(header, sizeof(header));
-  uint32_t length = 0;
-  uint32_t stored_crc = 0;
-  cursor.U32(&length);
-  cursor.U32(&stored_crc);
-  if (length > kMaxNetPayloadBytes) {
+  char header_bytes[codec::kFrameHeaderBytes];
+  HPM_RETURN_IF_ERROR(socket.RecvAll(header_bytes, sizeof(header_bytes),
+                                     deadline, clean_eof));
+  const codec::FrameHeader header = codec::ParseFrameHeader(header_bytes);
+  if (header.length > kMaxNetPayloadBytes) {
     return Status::DataLoss("implausible frame length " +
-                            std::to_string(length));
+                            std::to_string(header.length));
   }
-  std::string payload(length, '\0');
-  if (length > 0) {
+  std::string payload(header.length, '\0');
+  if (header.length > 0) {
     // A disconnect mid-payload is a torn frame: RecvAll reports the
     // clean-close case as kDataLoss here because bytes were consumed.
     HPM_RETURN_IF_ERROR(
-        socket.RecvAll(payload.data(), length, deadline, nullptr));
+        socket.RecvAll(payload.data(), header.length, deadline, nullptr));
   }
-  if (Crc32(payload) != stored_crc) {
+  if (!header.Verifies(payload.data())) {
     return Status::DataLoss("frame checksum mismatch");
   }
   return payload;

@@ -1,6 +1,7 @@
 // Length-prefixed, CRC-framed messages over a Socket.
 //
-// Frame layout (identical shape to the WAL frame in io/wal.cc):
+// Frame layout: the shared CRC frame of common/codec.h (the WAL writes
+// the same one), here capped at kMaxNetPayloadBytes:
 //   u32 payload_length | u32 crc32(payload) | payload bytes
 //
 // A frame whose CRC fails, whose length field is implausible, or whose

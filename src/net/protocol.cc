@@ -1,9 +1,8 @@
 #include "net/protocol.h"
 
-#include <cstdio>
-
+#include "common/codec.h"
+#include "io/store_layout.h"
 #include "net/frame.h"
-#include "net/wire.h"
 
 namespace hpm {
 
@@ -12,30 +11,36 @@ namespace {
 constexpr uint8_t kLastStatusCode = static_cast<uint8_t>(StatusCode::kDataLoss);
 constexpr size_t kMaxListedSegments = 1 << 16;
 constexpr size_t kMaxResultEntries = 1 << 20;
+// Encoded sizes of the smallest list entries. A count promising more
+// entries than the remaining bytes can hold is a lying length, rejected
+// before anything is reserved for it.
+constexpr size_t kMinPredictionBytes = 8 + 8 + 8 + 1 + 8 + 8 + 8 + 1 + 1;
+constexpr size_t kMinFleetHitBytes = 8 + kMinPredictionBytes;
+constexpr size_t kSegmentBytes = 4 + 8 + 8 + 8;
 
 void PutMsgType(std::string* out, MsgType type) {
-  wire::PutU8(out, static_cast<uint8_t>(type));
+  codec::PutU8(out, static_cast<uint8_t>(type));
 }
 
 void PutPrediction(std::string* out, const Prediction& p) {
-  wire::PutF64(out, p.location.x);
-  wire::PutF64(out, p.location.y);
-  wire::PutF64(out, p.score);
-  wire::PutU8(out, static_cast<uint8_t>(p.source));
-  wire::PutI64(out, p.pattern_id);
-  wire::PutI64(out, p.consequence_region);
-  wire::PutF64(out, p.confidence);
-  wire::PutU8(out, p.uncertainty.IsEmpty() ? 0 : 1);
+  codec::PutF64(out, p.location.x);
+  codec::PutF64(out, p.location.y);
+  codec::PutF64(out, p.score);
+  codec::PutU8(out, static_cast<uint8_t>(p.source));
+  codec::PutI64(out, p.pattern_id);
+  codec::PutI64(out, p.consequence_region);
+  codec::PutF64(out, p.confidence);
+  codec::PutU8(out, p.uncertainty.IsEmpty() ? 0 : 1);
   if (!p.uncertainty.IsEmpty()) {
-    wire::PutF64(out, p.uncertainty.min().x);
-    wire::PutF64(out, p.uncertainty.min().y);
-    wire::PutF64(out, p.uncertainty.max().x);
-    wire::PutF64(out, p.uncertainty.max().y);
+    codec::PutF64(out, p.uncertainty.min().x);
+    codec::PutF64(out, p.uncertainty.min().y);
+    codec::PutF64(out, p.uncertainty.max().x);
+    codec::PutF64(out, p.uncertainty.max().y);
   }
-  wire::PutU8(out, static_cast<uint8_t>(p.degraded));
+  codec::PutU8(out, static_cast<uint8_t>(p.degraded));
 }
 
-bool GetPrediction(wire::Cursor* cursor, Prediction* p) {
+bool GetPrediction(codec::Cursor* cursor, Prediction* p) {
   uint8_t source = 0;
   uint8_t degraded = 0;
   uint8_t has_uncertainty = 0;
@@ -90,44 +95,44 @@ std::string EncodePing() {
 std::string EncodeReport(const ReportRequest& req) {
   std::string out;
   PutMsgType(&out, MsgType::kReport);
-  wire::PutI64(&out, req.id);
-  wire::PutI64(&out, req.t);
-  wire::PutF64(&out, req.x);
-  wire::PutF64(&out, req.y);
+  codec::PutI64(&out, req.id);
+  codec::PutI64(&out, req.t);
+  codec::PutF64(&out, req.x);
+  codec::PutF64(&out, req.y);
   return out;
 }
 
 std::string EncodePredict(const PredictRequest& req) {
   std::string out;
   PutMsgType(&out, MsgType::kPredict);
-  wire::PutI64(&out, req.id);
-  wire::PutI64(&out, req.tq);
-  wire::PutU32(&out, static_cast<uint32_t>(req.k));
-  wire::PutU64(&out, req.deadline_us);
+  codec::PutI64(&out, req.id);
+  codec::PutI64(&out, req.tq);
+  codec::PutI32(&out, req.k);
+  codec::PutU64(&out, req.deadline_us);
   return out;
 }
 
 std::string EncodeRange(const RangeRequest& req) {
   std::string out;
   PutMsgType(&out, MsgType::kRange);
-  wire::PutF64(&out, req.min_x);
-  wire::PutF64(&out, req.min_y);
-  wire::PutF64(&out, req.max_x);
-  wire::PutF64(&out, req.max_y);
-  wire::PutI64(&out, req.tq);
-  wire::PutU32(&out, static_cast<uint32_t>(req.k_per_object));
-  wire::PutU64(&out, req.deadline_us);
+  codec::PutF64(&out, req.min_x);
+  codec::PutF64(&out, req.min_y);
+  codec::PutF64(&out, req.max_x);
+  codec::PutF64(&out, req.max_y);
+  codec::PutI64(&out, req.tq);
+  codec::PutI32(&out, req.k_per_object);
+  codec::PutU64(&out, req.deadline_us);
   return out;
 }
 
 std::string EncodeKnn(const KnnRequest& req) {
   std::string out;
   PutMsgType(&out, MsgType::kKnn);
-  wire::PutF64(&out, req.x);
-  wire::PutF64(&out, req.y);
-  wire::PutI64(&out, req.tq);
-  wire::PutU32(&out, static_cast<uint32_t>(req.n));
-  wire::PutU64(&out, req.deadline_us);
+  codec::PutF64(&out, req.x);
+  codec::PutF64(&out, req.y);
+  codec::PutI64(&out, req.tq);
+  codec::PutI32(&out, req.n);
+  codec::PutU64(&out, req.deadline_us);
   return out;
 }
 
@@ -140,17 +145,17 @@ std::string EncodeStats() {
 std::string EncodeReplState(const ReplStateRequest& req) {
   std::string out;
   PutMsgType(&out, MsgType::kReplState);
-  wire::PutU64(&out, req.follower_lag_bytes);
-  wire::PutU64(&out, req.follower_applied_records);
+  codec::PutU64(&out, req.follower_lag_bytes);
+  codec::PutU64(&out, req.follower_applied_records);
   return out;
 }
 
 std::string EncodeReplFetch(const ReplFetchRequest& req) {
   std::string out;
   PutMsgType(&out, MsgType::kReplFetch);
-  wire::PutString(&out, req.name);
-  wire::PutU64(&out, req.offset);
-  wire::PutU32(&out, req.max_bytes);
+  codec::PutString(&out, req.name);
+  codec::PutU64(&out, req.offset);
+  codec::PutU32(&out, req.max_bytes);
   return out;
 }
 
@@ -158,12 +163,12 @@ std::string EncodeReply(const Status& status, const ReplyInfo& info,
                         const std::string& body) {
   std::string out;
   PutMsgType(&out, MsgType::kReply);
-  wire::PutU8(&out, static_cast<uint8_t>(status.code()));
-  wire::PutString(&out, status.message());
-  wire::PutU8(&out, static_cast<uint8_t>(info.role));
-  wire::PutU64(&out, info.generation);
-  wire::PutU64(&out, info.staleness_us);
-  wire::PutU8(&out, info.stale_degraded ? 1 : 0);
+  codec::PutU8(&out, static_cast<uint8_t>(status.code()));
+  codec::PutString(&out, status.message());
+  codec::PutU8(&out, static_cast<uint8_t>(info.role));
+  codec::PutU64(&out, info.generation);
+  codec::PutU64(&out, info.staleness_us);
+  codec::PutU8(&out, info.stale_degraded ? 1 : 0);
   out += body;
   return out;
 }
@@ -171,21 +176,21 @@ std::string EncodeReply(const Status& status, const ReplyInfo& info,
 std::string EncodePredictionsBody(
     const std::vector<Prediction>& predictions) {
   std::string out;
-  wire::PutU32(&out, static_cast<uint32_t>(predictions.size()));
+  codec::PutU32(&out, static_cast<uint32_t>(predictions.size()));
   for (const Prediction& p : predictions) PutPrediction(&out, p);
   return out;
 }
 
 std::string EncodeFleetBody(const FleetQueryResult& result) {
   std::string out;
-  wire::PutU8(&out, result.partial ? 1 : 0);
-  wire::PutU32(&out, static_cast<uint32_t>(result.skipped_shards.size()));
+  codec::PutU8(&out, result.partial ? 1 : 0);
+  codec::PutU32(&out, static_cast<uint32_t>(result.skipped_shards.size()));
   for (int shard : result.skipped_shards) {
-    wire::PutU32(&out, static_cast<uint32_t>(shard));
+    codec::PutU32(&out, static_cast<uint32_t>(shard));
   }
-  wire::PutU32(&out, static_cast<uint32_t>(result.hits.size()));
+  codec::PutU32(&out, static_cast<uint32_t>(result.hits.size()));
   for (const RangeHit& hit : result.hits) {
-    wire::PutI64(&out, hit.id);
+    codec::PutI64(&out, hit.id);
     PutPrediction(&out, hit.prediction);
   }
   return out;
@@ -193,20 +198,20 @@ std::string EncodeFleetBody(const FleetQueryResult& result) {
 
 std::string EncodeStatsBody(const std::string& json) {
   std::string out;
-  wire::PutString(&out, json);
+  codec::PutString(&out, json);
   return out;
 }
 
 std::string EncodeReplStateBody(uint64_t generation,
                                 const std::vector<WireSegment>& segments) {
   std::string out;
-  wire::PutU64(&out, generation);
-  wire::PutU32(&out, static_cast<uint32_t>(segments.size()));
+  codec::PutU64(&out, generation);
+  codec::PutU32(&out, static_cast<uint32_t>(segments.size()));
   for (const WireSegment& segment : segments) {
-    wire::PutU32(&out, static_cast<uint32_t>(segment.shard));
-    wire::PutU64(&out, segment.seq);
-    wire::PutU64(&out, segment.base_gen);
-    wire::PutU64(&out, segment.size);
+    codec::PutU32(&out, static_cast<uint32_t>(segment.shard));
+    codec::PutU64(&out, segment.seq);
+    codec::PutU64(&out, segment.base_gen);
+    codec::PutU64(&out, segment.size);
   }
   return out;
 }
@@ -214,15 +219,15 @@ std::string EncodeReplStateBody(uint64_t generation,
 std::string EncodeReplFetchBody(uint64_t file_size, bool eof,
                                 const std::string& bytes) {
   std::string out;
-  wire::PutU64(&out, file_size);
-  wire::PutU8(&out, eof ? 1 : 0);
-  wire::PutString(&out, bytes);
+  codec::PutU64(&out, file_size);
+  codec::PutU8(&out, eof ? 1 : 0);
+  codec::PutString(&out, bytes);
   return out;
 }
 
 Status DecodeReply(const std::string& payload, ReplyInfo* info,
                    std::string* body, Status* transported) {
-  wire::Cursor cursor(payload);
+  codec::Cursor cursor(payload);
   uint8_t type = 0;
   uint8_t code = 0;
   uint8_t role = 0;
@@ -242,12 +247,9 @@ Status DecodeReply(const std::string& payload, ReplyInfo* info,
   }
   info->role = static_cast<ServerRole>(role);
   info->stale_degraded = stale_degraded != 0;
-  if (body != nullptr) {
-    // The envelope is everything the fixed reads above consumed; the
-    // body is the remainder. Re-derive its offset from the sizes.
-    const size_t envelope_bytes = 1 + 1 + 4 + message.size() + 1 + 8 + 8 + 1;
-    *body = payload.substr(envelope_bytes);
-  }
+  // The envelope is everything the reads above consumed; the body is
+  // the remainder.
+  if (body != nullptr) *body = payload.substr(cursor.pos());
   *transported = code == 0
                      ? Status::OK()
                      : Status(static_cast<StatusCode>(code),
@@ -257,9 +259,10 @@ Status DecodeReply(const std::string& payload, ReplyInfo* info,
 
 Status DecodePredictionsBody(const std::string& body,
                              std::vector<Prediction>* predictions) {
-  wire::Cursor cursor(body);
+  codec::Cursor cursor(body);
   uint32_t count = 0;
-  if (!cursor.U32(&count) || count > kMaxResultEntries) {
+  if (!cursor.U32(&count) || count > kMaxResultEntries ||
+      count > cursor.remaining() / kMinPredictionBytes) {
     return Status::DataLoss("malformed predictions body");
   }
   predictions->clear();
@@ -276,7 +279,7 @@ Status DecodePredictionsBody(const std::string& body,
 }
 
 Status DecodeFleetBody(const std::string& body, FleetQueryResult* result) {
-  wire::Cursor cursor(body);
+  codec::Cursor cursor(body);
   uint8_t partial = 0;
   uint32_t skipped = 0;
   cursor.U8(&partial);
@@ -291,7 +294,8 @@ Status DecodeFleetBody(const std::string& body, FleetQueryResult* result) {
     result->skipped_shards.push_back(static_cast<int>(shard));
   }
   uint32_t hits = 0;
-  if (!cursor.U32(&hits) || hits > kMaxResultEntries) {
+  if (!cursor.U32(&hits) || hits > kMaxResultEntries ||
+      hits > cursor.remaining() / kMinFleetHitBytes) {
     return Status::DataLoss("malformed fleet body");
   }
   result->hits.clear();
@@ -308,7 +312,7 @@ Status DecodeFleetBody(const std::string& body, FleetQueryResult* result) {
 }
 
 Status DecodeStatsBody(const std::string& body, std::string* json) {
-  wire::Cursor cursor(body);
+  codec::Cursor cursor(body);
   if (!cursor.String(json, kMaxResultEntries) || !cursor.done()) {
     return Status::DataLoss("malformed stats body");
   }
@@ -317,10 +321,11 @@ Status DecodeStatsBody(const std::string& body, std::string* json) {
 
 Status DecodeReplStateBody(const std::string& body, uint64_t* generation,
                            std::vector<WireSegment>* segments) {
-  wire::Cursor cursor(body);
+  codec::Cursor cursor(body);
   uint32_t count = 0;
   cursor.U64(generation);
-  if (!cursor.U32(&count) || count > kMaxListedSegments) {
+  if (!cursor.U32(&count) || count > kMaxListedSegments ||
+      count > cursor.remaining() / kSegmentBytes) {
     return Status::DataLoss("malformed repl-state body");
   }
   segments->clear();
@@ -343,7 +348,7 @@ Status DecodeReplStateBody(const std::string& body, uint64_t* generation,
 
 Status DecodeReplFetchBody(const std::string& body, uint64_t* file_size,
                            bool* eof, std::string* bytes) {
-  wire::Cursor cursor(body);
+  codec::Cursor cursor(body);
   uint8_t eof_byte = 0;
   cursor.U64(file_size);
   cursor.U8(&eof_byte);
@@ -355,7 +360,7 @@ Status DecodeReplFetchBody(const std::string& body, uint64_t* file_size,
 }
 
 Status DecodeRequest(const std::string& payload, Request* request) {
-  wire::Cursor cursor(payload);
+  codec::Cursor cursor(payload);
   uint8_t type = 0;
   if (!cursor.U8(&type)) return Status::DataLoss("empty request");
   request->type = static_cast<MsgType>(type);
@@ -369,37 +374,28 @@ Status DecodeRequest(const std::string& payload, Request* request) {
       cursor.F64(&request->report.x);
       cursor.F64(&request->report.y);
       break;
-    case MsgType::kPredict: {
-      uint32_t k = 0;
+    case MsgType::kPredict:
       cursor.I64(&request->predict.id);
       cursor.I64(&request->predict.tq);
-      cursor.U32(&k);
+      cursor.I32(&request->predict.k);
       cursor.U64(&request->predict.deadline_us);
-      request->predict.k = static_cast<int32_t>(k);
       break;
-    }
-    case MsgType::kRange: {
-      uint32_t k = 0;
+    case MsgType::kRange:
       cursor.F64(&request->range.min_x);
       cursor.F64(&request->range.min_y);
       cursor.F64(&request->range.max_x);
       cursor.F64(&request->range.max_y);
       cursor.I64(&request->range.tq);
-      cursor.U32(&k);
+      cursor.I32(&request->range.k_per_object);
       cursor.U64(&request->range.deadline_us);
-      request->range.k_per_object = static_cast<int32_t>(k);
       break;
-    }
-    case MsgType::kKnn: {
-      uint32_t n = 0;
+    case MsgType::kKnn:
       cursor.F64(&request->knn.x);
       cursor.F64(&request->knn.y);
       cursor.I64(&request->knn.tq);
-      cursor.U32(&n);
+      cursor.I32(&request->knn.n);
       cursor.U64(&request->knn.deadline_us);
-      request->knn.n = static_cast<int32_t>(n);
       break;
-    }
     case MsgType::kReplState:
       cursor.U64(&request->repl_state.follower_lag_bytes);
       cursor.U64(&request->repl_state.follower_applied_records);
@@ -423,37 +419,19 @@ Status DecodeRequest(const std::string& payload, Request* request) {
 }
 
 bool IsFetchableStoreFile(const std::string& name, bool* is_wal) {
-  *is_wal = false;
-  if (name == "CURRENT") return true;
-  unsigned long long a = 0, b = 0;  // NOLINT: sscanf needs the C types
-  char tail = '\0';
-  char trailing[8] = {0};
-  if (std::sscanf(name.c_str(), "MANIFEST-%llu%c", &a, &tail) == 1) {
-    // Round-trip to reject leading zeros / plus signs sscanf accepts.
-    return name == "MANIFEST-" + std::to_string(a);
-  }
-  long long id = 0;  // NOLINT
-  if (std::sscanf(name.c_str(), "%lld-%llu.cs%1s", &id, &a, trailing) == 3 &&
-      trailing[0] == 'v') {
-    return name ==
-           std::to_string(id) + "-" + std::to_string(a) + ".csv";
-  }
-  if (std::sscanf(name.c_str(), "%lld-%llu.mode%1s", &id, &a, trailing) ==
-          3 &&
-      trailing[0] == 'l') {
-    return name ==
-           std::to_string(id) + "-" + std::to_string(a) + ".model";
-  }
-  if (std::sscanf(name.c_str(), "wal/wal-%llu-%llu.lo%1s", &a, &b,
-                  trailing) == 3 &&
-      trailing[0] == 'g') {
-    if (name == "wal/wal-" + std::to_string(a) + "-" + std::to_string(b) +
-                    ".log") {
-      *is_wal = true;
-      return true;
-    }
-  }
-  return false;
+  // Only names the store layout itself could have written: every parser
+  // there accepts just the canonical spelling, so no path separator, dot
+  // segment or alternate number spelling gets through.
+  uint64_t gen = 0, seq = 0;
+  int64_t id = 0;
+  int shard = 0;
+  *is_wal = name.starts_with(kWalFetchPrefix) &&
+            ParseSegmentFileName(
+                std::string_view(name).substr(kWalFetchPrefix.size()),
+                &shard, &seq);
+  return *is_wal || name == kCurrentFileName ||
+         ParseManifestFileName(name, &gen) ||
+         ParseObjectFileName(name, &id, &gen);
 }
 
 }  // namespace hpm

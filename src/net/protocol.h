@@ -3,7 +3,7 @@
 //
 // Transport: each message is one CRC frame (net/frame.h). The first
 // payload byte is the message type; the rest is the type-specific body
-// encoded with net/wire.h primitives.
+// encoded with common/codec.h primitives.
 //
 // Every reply shares an envelope:
 //   u8 kReply | u8 status_code | string status_message |
@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -200,6 +201,9 @@ struct Request {
 /// Decodes a request payload (kDataLoss on malformed input, including
 /// unknown message types).
 Status DecodeRequest(const std::string& payload, Request* request);
+
+/// Fetch names address journal segments as "wal/<segment name>".
+inline constexpr std::string_view kWalFetchPrefix = "wal/";
 
 /// True when `name` is a fetchable store file: "CURRENT",
 /// "MANIFEST-<gen>", "<id>-<gen>.csv", "<id>-<gen>.model" or

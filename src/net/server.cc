@@ -321,7 +321,8 @@ std::string HpmServer::HandleReplFetch(const ReplFetchRequest& request) {
   const std::string path =
       is_wal ? (options_.wal_dir.empty()
                     ? options_.data_dir + "/" + request.name
-                    : options_.wal_dir + "/" + request.name.substr(4))
+                    : options_.wal_dir + "/" +
+                          request.name.substr(kWalFetchPrefix.size()))
              : options_.data_dir + "/" + request.name;
   const int fd = RetryOnEintr([&] { return ::open(path.c_str(), O_RDONLY); });
   if (fd < 0) {

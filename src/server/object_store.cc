@@ -501,7 +501,11 @@ RebuildScheduler* MovingObjectStore::EnsureScheduler() {
   RebuildScheduler::Options scheduler_options;
   scheduler_options.max_pending = options_.rebuild.max_pending;
   scheduler_options.deferred_counter = metrics_->rebuild_deferred;
-  scheduler_options.idle_priority = options_.rebuild.idle_priority;
+  // Idle scheduling priority (SCHED_IDLE on Linux): a rebuild consumes
+  // only spare CPU and a waking query or ingest thread preempts it, so
+  // training ranks below query traffic even with no free core.
+  // FlushRebuilds still works: the drainer sleeps, letting the worker run.
+  scheduler_options.idle_priority = true;
   scheduler_options.min_start_interval = options_.rebuild.min_rebuild_interval;
   scheduler_ = std::make_unique<RebuildScheduler>(
       scheduler_options,

@@ -142,15 +142,6 @@ struct RebuildOptions {
   /// into a steady trickle; skipped objects stay queued or are
   /// re-requested by their drift score. FlushRebuilds overrides it.
   std::chrono::milliseconds min_rebuild_interval{0};
-
-  /// Run the rebuild worker at idle scheduling priority (SCHED_IDLE on
-  /// Linux; no-op elsewhere): rebuilds then consume only spare CPU and
-  /// a waking query or ingest thread preempts a running build instead
-  /// of time-slicing against it. This is how "training ranks below
-  /// query traffic" holds even when the machine has no free core.
-  /// Quiesce points (FlushRebuilds) still work — the drainer sleeps,
-  /// which is exactly what lets an idle-priority worker run.
-  bool idle_priority = true;
 };
 
 /// Store configuration.

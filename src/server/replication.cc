@@ -4,8 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <filesystem>
 #include <system_error>
 #include <vector>
@@ -13,15 +11,12 @@
 #include "common/fault_injection.h"
 #include "io/atomic_file.h"
 #include "io/eintr.h"
+#include "io/store_layout.h"
 #include "io/wal.h"
 
 namespace hpm {
 
 namespace {
-
-std::string SegmentFileName(int shard, uint64_t seq) {
-  return "wal-" + std::to_string(shard) + "-" + std::to_string(seq) + ".log";
-}
 
 /// The size of a mirror file, 0 when absent.
 uint64_t LocalSize(const std::string& path) {
@@ -69,31 +64,19 @@ StatusOr<uint64_t> BootstrapReplica(HpmClient& client,
   const uint64_t gen = state->generation;
   if (gen == 0) return uint64_t{0};  // primary never saved; journal-only
 
-  const std::string manifest_name = "MANIFEST-" + std::to_string(gen);
+  const std::string manifest_name = ManifestFileName(gen);
   std::string manifest;
   HPM_RETURN_IF_ERROR(
       client.FetchFile(manifest_name, fetch_chunk_bytes, &manifest)
           .Annotate("bootstrap"));
+  // A damaged manifest fails here, before any file is committed.
+  std::vector<ManifestEntry> entries;
+  HPM_RETURN_IF_ERROR(ParseManifest(manifest, &entries)
+                          .Annotate("bootstrap " + manifest_name));
 
-  // Fetch every object file the manifest names. The manifest's own
-  // format is verified (header + checksum) by the store load after
-  // bootstrap; here only the file names are needed, so parse leniently.
-  size_t pos = 0;
-  while (pos < manifest.size()) {
-    const size_t eol = manifest.find('\n', pos);
-    const std::string line =
-        manifest.substr(pos, eol == std::string::npos ? eol : eol - pos);
-    pos = eol == std::string::npos ? manifest.size() : eol + 1;
-    int64_t id = 0;
-    size_t history_len = 0, consumed = 0;
-    int has_model = 0;
-    if (std::sscanf(line.c_str(), "object %" SCNd64 " %zu %zu %d", &id,
-                    &history_len, &consumed, &has_model) != 4) {
-      continue;
-    }
-    const std::string stem = std::to_string(id) + "-" + std::to_string(gen);
-    std::vector<std::string> names = {stem + ".csv"};
-    if (has_model != 0) names.push_back(stem + ".model");
+  for (const ManifestEntry& entry : entries) {
+    std::vector<std::string> names = {CsvFileName(entry.id, gen)};
+    if (entry.has_model) names.push_back(ModelFileName(entry.id, gen));
     for (const std::string& name : names) {
       std::string contents;
       HPM_RETURN_IF_ERROR(client.FetchFile(name, fetch_chunk_bytes, &contents)
@@ -107,8 +90,8 @@ StatusOr<uint64_t> BootstrapReplica(HpmClient& client,
   // The commit point, mirroring SaveToDirectory: only once CURRENT
   // lands is the bootstrapped snapshot loadable. A kill anywhere above
   // leaves a directory a re-run simply overwrites.
-  HPM_RETURN_IF_ERROR(
-      AtomicWriteFile(data_dir + "/CURRENT", manifest_name + "\n"));
+  HPM_RETURN_IF_ERROR(AtomicWriteFile(
+      data_dir + "/" + kCurrentFileName, FormatCurrent(gen)));
   return gen;
 }
 
@@ -209,7 +192,7 @@ Status Replicator::SyncSegment(const WireSegment& segment, uint64_t* lag) {
 
   while (local < segment.size) {
     ReplFetchRequest request;
-    request.name = "wal/" + name;
+    request.name = std::string(kWalFetchPrefix) + name;
     request.offset = local;
     request.max_bytes = static_cast<uint32_t>(
         std::min<uint64_t>(options_.fetch_chunk_bytes, segment.size - local));
@@ -246,13 +229,9 @@ Status Replicator::SyncOnce() {
     if (!synced.ok()) {
       // Keep syncing the other shards' streams — they are independent —
       // but report the failure and skip the health stamp below.
-      lag += segment.size > LocalSize(mirror_dir_ + "/" +
-                                      SegmentFileName(segment.shard,
-                                                      segment.seq))
-                 ? segment.size -
-                       LocalSize(mirror_dir_ + "/" +
-                                 SegmentFileName(segment.shard, segment.seq))
-                 : 0;
+      const uint64_t local = LocalSize(
+          mirror_dir_ + "/" + SegmentFileName(segment.shard, segment.seq));
+      lag += segment.size > local ? segment.size - local : 0;
       if (result.ok()) result = synced;
     }
   }

@@ -1,17 +1,8 @@
 // Directory persistence for MovingObjectStore — generational, crash-safe.
 //
-// Layout (docs/ROBUSTNESS.md has the recovery semantics):
-//   <dir>/CURRENT            "MANIFEST-<gen>\n"; atomically swapped *last*,
-//                            so it always names a fully written generation
-//   <dir>/MANIFEST-<gen>     header "hpm-store-manifest v2", one line per
-//                            object:
-//                            "object <id> <len> <consumed> <model?> <crc>"
-//                            (crc = CRC32 of the object's csv bytes, hex),
-//                            and a trailing "crc32 <hex>" line over every
-//                            preceding byte
-//   <dir>/<id>-<gen>.csv     the object's full reported history
-//   <dir>/<id>-<gen>.model   the trained HybridPredictor (when present;
-//                            self-validating via its own CRC footer)
+// Layout: io/store_layout.h owns every file name and the manifest format
+// (docs/ROBUSTNESS.md has the recovery semantics). Beside CURRENT,
+// MANIFEST-<gen> and the per-object <id>-<gen>.csv / .model files:
 //   <dir>/quarantine/        corrupt files are moved here on load, so a
 //                            failed generation can be inspected without
 //                            being retried forever (bounded: oldest files
@@ -38,7 +29,6 @@
 // truncated at the first bad frame and replay continues.
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -50,47 +40,29 @@
 #include "common/retry.h"
 #include "io/atomic_file.h"
 #include "io/csv.h"
+#include "io/store_layout.h"
 #include "server/object_store.h"
 
 namespace hpm {
 
 namespace {
 
-constexpr char kManifestHeader[] = "hpm-store-manifest v2";
 constexpr uint64_t kStoreIoRetrySeed = 0x73746f72655f696fULL;  // "store_io"
 
-std::string CurrentPath(const std::string& dir) { return dir + "/CURRENT"; }
-
-std::string ManifestName(uint64_t gen) {
-  return "MANIFEST-" + std::to_string(gen);
+std::string CurrentPath(const std::string& dir) {
+  return dir + "/" + kCurrentFileName;
 }
 
 std::string ManifestPath(const std::string& dir, uint64_t gen) {
-  return dir + "/" + ManifestName(gen);
+  return dir + "/" + ManifestFileName(gen);
 }
 
 std::string CsvPath(const std::string& dir, ObjectId id, uint64_t gen) {
-  return dir + "/" + std::to_string(id) + "-" + std::to_string(gen) + ".csv";
+  return dir + "/" + CsvFileName(id, gen);
 }
 
 std::string ModelPath(const std::string& dir, ObjectId id, uint64_t gen) {
-  return dir + "/" + std::to_string(id) + "-" + std::to_string(gen) +
-         ".model";
-}
-
-/// Parses the generation number out of a "MANIFEST-<gen>" name.
-bool ParseManifestName(const std::string& name, uint64_t* gen) {
-  const std::string prefix = "MANIFEST-";
-  if (name.rfind(prefix, 0) != 0 || name.size() == prefix.size()) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (size_t i = prefix.size(); i < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  *gen = value;
-  return true;
+  return dir + "/" + ModelFileName(id, gen);
 }
 
 /// All generations with a manifest file in `dir`, descending.
@@ -99,7 +71,7 @@ std::vector<uint64_t> ListGenerations(const std::string& dir) {
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     uint64_t gen = 0;
-    if (ParseManifestName(entry.path().filename().string(), &gen)) {
+    if (ParseManifestFileName(entry.path().filename().string(), &gen)) {
       gens.push_back(gen);
     }
   }
@@ -110,12 +82,7 @@ std::vector<uint64_t> ListGenerations(const std::string& dir) {
 /// The generation CURRENT points at, if CURRENT exists and parses.
 bool ReadCurrentGeneration(const std::string& dir, uint64_t* gen) {
   StatusOr<std::string> content = ReadFileToString(CurrentPath(dir));
-  if (!content.ok()) return false;
-  std::string name = *content;
-  while (!name.empty() && (name.back() == '\n' || name.back() == '\r')) {
-    name.pop_back();
-  }
-  return ParseManifestName(name, gen);
+  return content.ok() && ParseCurrent(*content, gen);
 }
 
 /// Moves a corrupt file into <dir>/quarantine/ (best effort), then
@@ -156,65 +123,6 @@ bool QuarantineFile(const std::string& dir, const std::string& path,
     }
   }
   return moved;
-}
-
-/// One parsed manifest entry.
-struct ManifestEntry {
-  ObjectId id = 0;
-  size_t history_len = 0;
-  size_t consumed = 0;
-  bool has_model = false;
-  uint32_t csv_crc = 0;
-};
-
-/// Parses and checksum-verifies a v2 manifest. On failure the manifest
-/// itself is the corrupt file.
-Status ParseManifest(const std::string& content,
-                     std::vector<ManifestEntry>* entries) {
-  // The trailing line must be "crc32 <hex>" over every byte before it.
-  const size_t last_newline = content.size() >= 2
-                                  ? content.rfind('\n', content.size() - 2)
-                                  : std::string::npos;
-  if (content.empty() || content.back() != '\n' ||
-      last_newline == std::string::npos) {
-    return Status::DataLoss("manifest missing checksum line");
-  }
-  const std::string crc_line =
-      content.substr(last_newline + 1,
-                     content.size() - last_newline - 2);
-  uint32_t stored_crc = 0;
-  if (std::sscanf(crc_line.c_str(), "crc32 %" SCNx32, &stored_crc) != 1) {
-    return Status::DataLoss("manifest missing checksum line");
-  }
-  if (Crc32(content.data(), last_newline + 1) != stored_crc) {
-    return Status::DataLoss("manifest checksum mismatch");
-  }
-
-  size_t pos = 0;
-  bool header_seen = false;
-  while (pos <= last_newline) {
-    const size_t eol = content.find('\n', pos);
-    const std::string line = content.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (!header_seen) {
-      if (line != kManifestHeader) {
-        return Status::DataLoss("bad manifest header: " + line);
-      }
-      header_seen = true;
-      continue;
-    }
-    ManifestEntry entry;
-    int has_model = 0;
-    if (std::sscanf(line.c_str(),
-                    "object %" SCNd64 " %zu %zu %d %" SCNx32, &entry.id,
-                    &entry.history_len, &entry.consumed, &has_model,
-                    &entry.csv_crc) != 5) {
-      return Status::DataLoss("malformed manifest line: " + line);
-    }
-    entry.has_model = has_model != 0;
-    entries->push_back(entry);
-  }
-  return Status::OK();
 }
 
 /// Reads a file through the load-side fault site with transient-failure
@@ -300,8 +208,7 @@ Status MovingObjectStore::SaveToDirectory(
               return a.id < b.id;
             });
 
-  std::string manifest = kManifestHeader;
-  manifest += '\n';
+  std::vector<ManifestEntry> entries;
   for (const ObjectSnapshot& object : snapshot) {
     const ObjectId id = object.id;
     const bool has_model = object.predictor != nullptr;
@@ -318,18 +225,10 @@ Status MovingObjectStore::SaveToDirectory(
     if (!written.ok()) {
       return written.Annotate("save object " + std::to_string(id));
     }
-
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "object %" PRId64 " %zu %zu %d %08x\n", id,
-                  object.history.size(), object.consumed, has_model ? 1 : 0,
-                  Crc32(csv));
-    manifest += line;
+    entries.push_back({id, object.history.size(), object.consumed,
+                       has_model, Crc32(csv)});
   }
-
-  char crc_line[32];
-  std::snprintf(crc_line, sizeof(crc_line), "crc32 %08x\n", Crc32(manifest));
-  manifest += crc_line;
+  const std::string manifest = FormatManifest(entries);
 
   Status wrote_manifest =
       RetryWithBackoff(policy, retry_rng, [&]() -> Status {
@@ -341,7 +240,7 @@ Status MovingObjectStore::SaveToDirectory(
   // The commit point: after this rename the new generation is live.
   Status committed = RetryWithBackoff(policy, retry_rng, [&]() -> Status {
     HPM_INJECT_FAULT("store/save_commit");
-    return AtomicWriteFile(CurrentPath(directory), ManifestName(gen) + "\n");
+    return AtomicWriteFile(CurrentPath(directory), FormatCurrent(gen));
   });
   if (!committed.ok()) return committed.Annotate("commit");
   generation_->store(gen, std::memory_order_relaxed);
@@ -353,9 +252,9 @@ Status MovingObjectStore::SaveToDirectory(
     StatusOr<std::string> old_manifest =
         ReadFileToString(ManifestPath(directory, old_gen));
     if (old_manifest.ok()) {
-      std::vector<ManifestEntry> entries;
-      if (ParseManifest(*old_manifest, &entries).ok()) {
-        for (const ManifestEntry& entry : entries) {
+      std::vector<ManifestEntry> old_entries;
+      if (ParseManifest(*old_manifest, &old_entries).ok()) {
+        for (const ManifestEntry& entry : old_entries) {
           std::remove(CsvPath(directory, entry.id, old_gen).c_str());
           std::remove(ModelPath(directory, entry.id, old_gen).c_str());
         }
@@ -568,7 +467,7 @@ StatusOr<MovingObjectStore> MovingObjectStore::LoadFromDirectory(
       finish(*store, gen);
       return store;
     }
-    last_error = store.status().Annotate(ManifestName(gen));
+    last_error = store.status().Annotate(ManifestFileName(gen));
     // Retries are exhausted by now: the file is corrupt (or persistently
     // unreadable), so move it aside and fall back a generation.
     if (!bad_file.empty() &&

@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "bitset/word_ops.h"
-#include "common/crc32.h"
+#include "common/codec.h"
 #include "tpt/tpt_node.h"
 
 namespace hpm {
@@ -45,57 +45,6 @@ void CountSubtree(const TptTree::Node* node, size_t* num_nodes,
     CountSubtree(child.get(), num_nodes, num_entries);
   }
 }
-
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-void AppendF64(std::string* out, double v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-void AppendI32(std::string* out, int32_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-/// Bounds-checked cursor over the section bytes; every Read returns
-/// false on truncation instead of walking past the buffer.
-class SectionReader {
- public:
-  SectionReader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  bool ReadBytes(void* out, size_t n) {
-    if (size_ - pos_ < n) return false;
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  bool ReadU32(uint32_t* out) { return ReadBytes(out, sizeof(*out)); }
-  bool ReadU64(uint64_t* out) { return ReadBytes(out, sizeof(*out)); }
-  bool ReadF64(double* out) { return ReadBytes(out, sizeof(*out)); }
-  bool ReadI32(int32_t* out) { return ReadBytes(out, sizeof(*out)); }
-
-  size_t consumed() const { return pos_; }
-  size_t remaining() const { return size_ - pos_; }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -278,14 +227,6 @@ void FrozenTpt::SearchInto(const PatternKey& query, SearchMode mode,
   }
 }
 
-PatternKey FrozenTpt::KeyOf(const FrozenLeaf& leaf) const {
-  return PatternKey(
-      DynamicBitset::FromWords(PremiseWords(leaf), premise_words_,
-                               premise_bits_),
-      DynamicBitset::FromWords(ConsequenceWords(leaf), consequence_words_,
-                               consequence_bits_));
-}
-
 size_t FrozenTpt::MemoryBytes() const {
   return sizeof(FrozenTpt) + nodes_.size() * sizeof(NodeRef) +
          entry_target_.size() * sizeof(uint32_t) +
@@ -319,28 +260,27 @@ Status FrozenTpt::CheckInvariants() const {
 
 void FrozenTpt::AppendTo(std::string* out) const {
   const size_t start = out->size();
-  out->append(kSectionMagic, sizeof(kSectionMagic));
-  AppendU32(out, kSectionVersion);
-  AppendU32(out, static_cast<uint32_t>(premise_bits_));
-  AppendU32(out, static_cast<uint32_t>(consequence_bits_));
-  AppendU32(out, static_cast<uint32_t>(nodes_.size()));
-  AppendU32(out, static_cast<uint32_t>(entry_target_.size()));
-  AppendU32(out, static_cast<uint32_t>(patterns_.size()));
+  codec::PutBytes(out, kSectionMagic, sizeof(kSectionMagic));
+  codec::PutU32(out, kSectionVersion);
+  codec::PutU32(out, static_cast<uint32_t>(premise_bits_));
+  codec::PutU32(out, static_cast<uint32_t>(consequence_bits_));
+  codec::PutU32(out, static_cast<uint32_t>(nodes_.size()));
+  codec::PutU32(out, static_cast<uint32_t>(entry_target_.size()));
+  codec::PutU32(out, static_cast<uint32_t>(patterns_.size()));
   for (const NodeRef& node : nodes_) {
-    AppendU32(out, node.first_entry);
-    AppendU32(out, node.num_entries);
-    AppendU32(out, node.is_leaf);
+    codec::PutU32(out, node.first_entry);
+    codec::PutU32(out, node.num_entries);
+    codec::PutU32(out, node.is_leaf);
   }
-  for (uint32_t target : entry_target_) AppendU32(out, target);
-  for (size_t w = 0; w < key_words_.size(); ++w) {
-    AppendU64(out, key_words_.data()[w]);
-  }
+  for (uint32_t target : entry_target_) codec::PutU32(out, target);
+  codec::PutBytes(out, key_words_.data(),
+                  key_words_.size() * sizeof(uint64_t));
   for (const FrozenLeaf& p : patterns_) {
-    AppendF64(out, p.confidence);
-    AppendI32(out, p.consequence_region);
-    AppendI32(out, p.pattern_id);
+    codec::PutF64(out, p.confidence);
+    codec::PutI32(out, p.consequence_region);
+    codec::PutI32(out, p.pattern_id);
   }
-  AppendU32(out, Crc32(out->data() + start, out->size() - start));
+  codec::PutU32(out, Crc32(out->data() + start, out->size() - start));
 }
 
 Status FrozenTpt::ValidateTopology(const std::vector<NodeRef>& nodes,
@@ -430,18 +370,18 @@ Status FrozenTpt::ValidateTopology(const std::vector<NodeRef>& nodes,
 
 StatusOr<FrozenTpt> FrozenTpt::Parse(const char* data, size_t size,
                                      size_t* consumed) {
-  SectionReader reader(data, size);
+  codec::Cursor reader(data, size);
   char magic[sizeof(kSectionMagic)];
-  if (!reader.ReadBytes(magic, sizeof(magic)) ||
+  if (!reader.Bytes(magic, sizeof(magic)) ||
       std::memcmp(magic, kSectionMagic, sizeof(magic)) != 0) {
     return Status::DataLoss("bad frozen TPT section magic");
   }
   uint32_t version = 0;
   uint32_t premise_bits = 0, consequence_bits = 0;
   uint32_t num_nodes = 0, num_entries = 0, num_patterns = 0;
-  if (!reader.ReadU32(&version) || !reader.ReadU32(&premise_bits) ||
-      !reader.ReadU32(&consequence_bits) || !reader.ReadU32(&num_nodes) ||
-      !reader.ReadU32(&num_entries) || !reader.ReadU32(&num_patterns)) {
+  if (!reader.U32(&version) || !reader.U32(&premise_bits) ||
+      !reader.U32(&consequence_bits) || !reader.U32(&num_nodes) ||
+      !reader.U32(&num_entries) || !reader.U32(&num_patterns)) {
     return Status::DataLoss("truncated frozen TPT section header");
   }
   if (version != kSectionVersion) {
@@ -474,34 +414,32 @@ StatusOr<FrozenTpt> FrozenTpt::Parse(const char* data, size_t size,
 
   std::vector<NodeRef> nodes(num_nodes);
   for (NodeRef& node : nodes) {
-    HPM_CHECK(reader.ReadU32(&node.first_entry) &&
-              reader.ReadU32(&node.num_entries) &&
-              reader.ReadU32(&node.is_leaf));
+    HPM_CHECK(reader.U32(&node.first_entry) &&
+              reader.U32(&node.num_entries) && reader.U32(&node.is_leaf));
   }
   std::vector<uint32_t> targets(num_entries);
   for (uint32_t& target : targets) {
-    HPM_CHECK(reader.ReadU32(&target));
+    HPM_CHECK(reader.U32(&target));
   }
   AlignedWordArena key_words(num_entries * stride);
-  for (size_t w = 0; w < key_words.size(); ++w) {
-    HPM_CHECK(reader.ReadU64(&key_words.data()[w]));
-  }
+  HPM_CHECK(reader.Bytes(key_words.data(),
+                         key_words.size() * sizeof(uint64_t)));
   std::vector<FrozenLeaf> leaves(num_patterns);
   for (FrozenLeaf& leaf : leaves) {
-    HPM_CHECK(reader.ReadF64(&leaf.confidence) &&
-              reader.ReadI32(&leaf.consequence_region) &&
-              reader.ReadI32(&leaf.pattern_id));
+    HPM_CHECK(reader.F64(&leaf.confidence) &&
+              reader.I32(&leaf.consequence_region) &&
+              reader.I32(&leaf.pattern_id));
   }
 
-  const size_t body_end = reader.consumed();
+  const size_t body_end = reader.pos();
   uint32_t stored_crc = 0;
-  HPM_CHECK(reader.ReadU32(&stored_crc));
+  HPM_CHECK(reader.U32(&stored_crc));
   if (Crc32(data, body_end) != stored_crc) {
     return Status::DataLoss("frozen TPT section checksum mismatch");
   }
 
   FrozenTpt frozen;
-  *consumed = reader.consumed();
+  *consumed = reader.pos();
   if (num_nodes == 0) return frozen;
 
   int height = 0;

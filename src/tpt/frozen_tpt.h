@@ -28,16 +28,16 @@
 // predicates call) with prefetch of the upcoming blocks. Query scoring
 // (premise similarity, BQP's consequence time) reads the hit's block —
 // just scanned, so still in cache — through PremiseWords /
-// ConsequenceWords; KeyOf materialises a PatternKey only for tests.
+// ConsequenceWords; no PatternKey is ever materialised for a hit.
 //
 // Search visits nodes, tests entries, and emits hits in exactly the
 // mutable tree's order; prop_tpt_frozen_test proves the results (ids,
 // confidences, keys, order) and the TptSearchStats pruning counters
 // bit-identical on randomized pattern sets in both SearchModes.
 //
-// The arena has a compact wire form (AppendTo/Parse, CRC-footed) so a
-// persisted model reloads by validating bytes instead of replaying the
-// sequential-insert build.
+// The arena has a compact wire form (AppendTo/Parse, CRC-footed, encoded
+// with common/codec.h) so a persisted model reloads by validating bytes
+// instead of replaying the sequential-insert build.
 
 #ifndef HPM_TPT_FROZEN_TPT_H_
 #define HPM_TPT_FROZEN_TPT_H_
@@ -83,8 +83,8 @@ class AlignedWordArena {
 };
 
 /// A frozen leaf entry's payload. The key is not copied here: it lives
-/// only in the arena block at `entry` (see FrozenTpt::PremiseWords,
-/// ConsequenceWords and KeyOf).
+/// only in the arena block at `entry` (see FrozenTpt::PremiseWords and
+/// ConsequenceWords).
 struct FrozenLeaf {
   /// Rule confidence c.
   double confidence = 0.0;
@@ -213,10 +213,6 @@ class FrozenTpt {
   const uint64_t* ConsequenceWords(const FrozenLeaf& leaf) const {
     return key_words_.data() + leaf.entry * Stride();
   }
-
-  /// The leaf's key as a PatternKey (allocates; for tests, not the query
-  /// path).
-  PatternKey KeyOf(const FrozenLeaf& leaf) const;
 
   /// Bytes held by the arena, topology arrays and payloads — the
   /// `tpt.frozen_bytes` metric, comparable against the builder tree's

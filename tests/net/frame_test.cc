@@ -7,11 +7,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/codec.h"
 #include "gtest/gtest.h"
 #include "net/frame.h"
 #include "net/protocol.h"
 #include "net/socket.h"
-#include "net/wire.h"
 
 namespace hpm {
 namespace {
@@ -30,14 +30,14 @@ struct SocketPair {
 
 TEST(WireTest, RoundTripsEveryPrimitive) {
   std::string buf;
-  wire::PutU8(&buf, 0xAB);
-  wire::PutU32(&buf, 0xDEADBEEF);
-  wire::PutU64(&buf, 0x0123456789ABCDEFull);
-  wire::PutI64(&buf, -42);
-  wire::PutF64(&buf, 2.5);
-  wire::PutString(&buf, "hello");
+  codec::PutU8(&buf, 0xAB);
+  codec::PutU32(&buf, 0xDEADBEEF);
+  codec::PutU64(&buf, 0x0123456789ABCDEFull);
+  codec::PutI64(&buf, -42);
+  codec::PutF64(&buf, 2.5);
+  codec::PutString(&buf, "hello");
 
-  wire::Cursor cursor(buf);
+  codec::Cursor cursor(buf);
   uint8_t u8 = 0;
   uint32_t u32 = 0;
   uint64_t u64 = 0;
@@ -61,8 +61,8 @@ TEST(WireTest, RoundTripsEveryPrimitive) {
 
 TEST(WireTest, UnderrunPoisonsTheCursor) {
   std::string buf;
-  wire::PutU32(&buf, 7);
-  wire::Cursor cursor(buf);
+  codec::PutU32(&buf, 7);
+  codec::Cursor cursor(buf);
   uint64_t v = 0;
   EXPECT_FALSE(cursor.U64(&v));
   EXPECT_FALSE(cursor.ok());
@@ -72,9 +72,9 @@ TEST(WireTest, UnderrunPoisonsTheCursor) {
 
 TEST(WireTest, OversizedStringLengthIsRejected) {
   std::string buf;
-  wire::PutU32(&buf, 1u << 30);  // length prefix far beyond the payload
+  codec::PutU32(&buf, 1u << 30);  // length prefix far beyond the payload
   buf.append("xx");
-  wire::Cursor cursor(buf);
+  codec::Cursor cursor(buf);
   std::string s;
   EXPECT_FALSE(cursor.String(&s));
   EXPECT_FALSE(cursor.ok());
@@ -159,8 +159,8 @@ TEST(FrameTest, CorruptedPayloadFailsTheCrc) {
 TEST(FrameTest, ImplausibleLengthIsRejectedWithoutAllocating) {
   SocketPair pair;
   std::string header;
-  wire::PutU32(&header, 0x7FFFFFFF);  // 2 GiB "payload"
-  wire::PutU32(&header, 0);
+  codec::PutU32(&header, 0x7FFFFFFF);  // 2 GiB "payload"
+  codec::PutU32(&header, 0);
   ASSERT_TRUE(pair.a
                   .SendAll(header.data(), header.size(),
                            Deadline::AfterMillis(2000))
@@ -295,6 +295,7 @@ TEST(ProtocolTest, FetchableFileWhitelist) {
   EXPECT_TRUE(IsFetchableStoreFile("7-3.model", &is_wal));
   EXPECT_TRUE(IsFetchableStoreFile("wal/wal-0-2.log", &is_wal));
   EXPECT_TRUE(is_wal);
+  EXPECT_TRUE(IsFetchableStoreFile("wal/wal-2147483647-0.log", &is_wal));
 
   EXPECT_FALSE(IsFetchableStoreFile("", &is_wal));
   EXPECT_FALSE(IsFetchableStoreFile("../etc/passwd", &is_wal));
@@ -304,6 +305,12 @@ TEST(ProtocolTest, FetchableFileWhitelist) {
   EXPECT_FALSE(IsFetchableStoreFile("MANIFEST-01", &is_wal));
   EXPECT_FALSE(IsFetchableStoreFile("7-3.csv.bak", &is_wal));
   EXPECT_FALSE(IsFetchableStoreFile("quarantine/7-3.csv", &is_wal));
+  // The journal writes only non-negative int shards.
+  EXPECT_FALSE(IsFetchableStoreFile("wal/wal-4294967296-0.log", &is_wal));
+  EXPECT_FALSE(is_wal);
+  EXPECT_FALSE(IsFetchableStoreFile("wal/wal-2147483648-0.log", &is_wal));
+  EXPECT_FALSE(IsFetchableStoreFile("wal/wal--1-0.log", &is_wal));
+  EXPECT_FALSE(IsFetchableStoreFile("wal/wal-01-0.log", &is_wal));
 }
 
 }  // namespace

@@ -220,6 +220,26 @@ TEST_F(ReplicationTest, BootstrapSnapshotPlusJournalTailConverges) {
   EXPECT_FALSE(replicator_->resync_required());
 }
 
+TEST_F(ReplicationTest, BootstrapRefusesADamagedManifest) {
+  Feed(1, 6);
+  ASSERT_TRUE(primary_->SaveToDirectory(primary_dir_).ok());
+  // One flipped byte in the manifest's header line: the checksum no
+  // longer matches, so nothing may be copied as a loadable snapshot.
+  const std::string manifest_path = primary_dir_ + "/MANIFEST-1";
+  std::string manifest = ReadFileBytes(manifest_path);
+  ASSERT_FALSE(manifest.empty());
+  manifest[0] ^= 0x20;
+  std::FILE* f = std::fopen(manifest_path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(manifest.data(), 1, manifest.size(), f);
+  std::fclose(f);
+  StartServer();
+
+  StatusOr<uint64_t> gen = BootstrapReplica(*client_, replica_dir_);
+  EXPECT_FALSE(gen.ok());
+  EXPECT_FALSE(std::filesystem::exists(replica_dir_ + "/CURRENT"));
+}
+
 TEST_F(ReplicationTest, NeverSavedPrimaryReplicatesFromPureJournal) {
   Feed(1, 2);
   StartServer();

@@ -141,15 +141,18 @@ void ExpectPayloadsMatch(const FrozenTpt& frozen,
     const IndexedPattern& p = patterns[static_cast<size_t>(leaf.pattern_id)];
     EXPECT_EQ(leaf.confidence, p.confidence);
     EXPECT_EQ(leaf.consequence_region, p.consequence_region);
-    EXPECT_EQ(frozen.KeyOf(leaf), p.key) << "pattern " << leaf.pattern_id;
-    // The raw word views are what query scoring reads.
+    // The key is its widths plus the raw arena words query scoring reads.
+    EXPECT_EQ(p.key.premise().size(), frozen.premise_bits());
+    EXPECT_EQ(p.key.consequence().size(), frozen.consequence_bits());
     EXPECT_TRUE(std::equal(p.key.premise().words(),
                            p.key.premise().words() + frozen.premise_words(),
-                           frozen.PremiseWords(leaf)));
+                           frozen.PremiseWords(leaf)))
+        << "pattern " << leaf.pattern_id;
     EXPECT_TRUE(std::equal(
         p.key.consequence().words(),
         p.key.consequence().words() + frozen.consequence_words(),
-        frozen.ConsequenceWords(leaf)));
+        frozen.ConsequenceWords(leaf)))
+        << "pattern " << leaf.pattern_id;
   }
 }
 
