@@ -132,11 +132,6 @@ class QueryContext {
   void CountMotionFitComputed() {
     motion_fits_computed_.fetch_add(1, std::memory_order_relaxed);
   }
-  /// The batch executor switched away from a stalled traversal to run
-  /// another query's (the `batch.interleaved` metric).
-  void CountBatchInterleaved() {
-    batch_interleaved_.fetch_add(1, std::memory_order_relaxed);
-  }
   /// Accumulates one TPT search's traversal effort.
   void AddTptStats(const TptSearchStats& stats) {
     tpt_nodes_visited_.fetch_add(stats.nodes_visited,
@@ -157,7 +152,6 @@ class QueryContext {
     uint64_t objects_evaluated = 0;
     uint64_t motion_fits = 0;
     uint64_t motion_fits_computed = 0;
-    uint64_t batch_interleaved = 0;
     uint64_t tpt_nodes_visited = 0;
     uint64_t tpt_entries_tested = 0;
     uint64_t tpt_blocks_scanned = 0;
@@ -173,7 +167,6 @@ class QueryContext {
     t.motion_fits = motion_fits_.load(std::memory_order_relaxed);
     t.motion_fits_computed =
         motion_fits_computed_.load(std::memory_order_relaxed);
-    t.batch_interleaved = batch_interleaved_.load(std::memory_order_relaxed);
     t.tpt_nodes_visited = tpt_nodes_visited_.load(std::memory_order_relaxed);
     t.tpt_entries_tested =
         tpt_entries_tested_.load(std::memory_order_relaxed);
@@ -196,7 +189,6 @@ class QueryContext {
   std::atomic<uint64_t> objects_evaluated_{0};
   std::atomic<uint64_t> motion_fits_{0};
   std::atomic<uint64_t> motion_fits_computed_{0};
-  std::atomic<uint64_t> batch_interleaved_{0};
   std::atomic<uint64_t> tpt_nodes_visited_{0};
   std::atomic<uint64_t> tpt_entries_tested_{0};
   std::atomic<uint64_t> tpt_blocks_scanned_{0};

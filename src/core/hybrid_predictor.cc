@@ -220,24 +220,51 @@ StatusOr<std::vector<Prediction>> HybridPredictor::DegradedAnswer(
 
 namespace {
 
-/// Runs a PredictTask to completion sequentially — the non-batched entry
-/// points are Step-to-done over the same machinery the batch executor
-/// interleaves, which is what keeps the two bit-identical.
-StatusOr<std::vector<Prediction>> RunToCompletion(
-    const HybridPredictor& predictor, const PredictiveQuery& query,
-    HybridPredictor::PredictTask::Route route) {
-  // Scratch buffers come from the execution context's lane when the query
-  // runs under the serving pipeline; direct callers get function-local
-  // buffers and identical behaviour.
-  PredictScratch local;
-  PredictScratch& s = query.context != nullptr
-                          ? query.context->lane(query.lane)
-                          : local;
-  HybridPredictor::PredictTask task;
-  task.Start(predictor, query, &s, route);
-  while (!task.Step(SIZE_MAX)) {
+/// Why the pattern side cannot be consulted for `query` in time (or at
+/// all) — an expired deadline, else a pattern-lookup fault — or kNone
+/// when it can. The query is then served the cheap RMF answer instead of
+/// failing.
+DegradedReason PatternSideBlocked(const PredictiveQuery& query) {
+  if (query.deadline.expired()) return DegradedReason::kDeadlineExceeded;
+  if (!HPM_FAULT_HIT("core/pattern_lookup").ok()) {
+    return DegradedReason::kPatternUnavailable;
   }
-  return task.TakeResult();
+  return DegradedReason::kNone;
+}
+
+/// Scratch buffers come from the execution context's lane when the query
+/// runs under the serving pipeline; direct callers get `local` and
+/// identical behaviour.
+PredictScratch& ScratchFor(const PredictiveQuery& query,
+                           PredictScratch* local) {
+  return query.context != nullptr ? query.context->lane(query.lane) : *local;
+}
+
+/// Encodes BQP's query key for the raw-time interval
+/// [tq - reach, tq + reach] into `s->query_key`. The interval is mapped
+/// to period offsets from tq's own offset `tq_offset`, so no raw time is
+/// ever formed: tq + reach would overflow for a far-future tq. `reach`
+/// itself stays small, because BQP stops widening at the first round
+/// whose interval spans a period.
+void EncodeBackwardInterval(const KeyTables& tables,
+                            const std::vector<int>& premise,
+                            Timestamp tq_offset, Timestamp reach,
+                            Timestamp period, PredictScratch* s) {
+  if (2 * reach >= period) {
+    tables.EncodeQueryIntervalInto(premise, 0, period - 1, &s->query_key);
+    return;
+  }
+  // The interval may wrap; the second key buffer carries its tail.
+  const Timestamp lo_off = ((tq_offset - reach) % period + period) % period;
+  const Timestamp hi_off = ((tq_offset + reach) % period + period) % period;
+  if (lo_off <= hi_off) {
+    tables.EncodeQueryIntervalInto(premise, lo_off, hi_off, &s->query_key);
+  } else {
+    tables.EncodeQueryIntervalInto(premise, lo_off, period - 1,
+                                   &s->query_key);
+    tables.EncodeQueryIntervalInto(premise, 0, hi_off, &s->interval_key);
+    s->query_key.UnionWith(s->interval_key);
+  }
 }
 
 /// The unranked pattern answer for TPT hit `hit` scored `score`.
@@ -257,262 +284,150 @@ Prediction PatternCandidate(const FrequentRegionSet& regions,
 
 }  // namespace
 
-void HybridPredictor::PredictTask::CompleteWith(
-    StatusOr<std::vector<Prediction>> result) {
-  result_ = std::move(result);
-  stage_ = Stage::kDone;
-  searching_ = false;
+StatusOr<std::vector<Prediction>> HybridPredictor::MotionFallback(
+    const PredictiveQuery& query) const {
+  counters_.motion_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  StatusOr<Prediction> fallback = MotionFunctionPredict(query);
+  if (!fallback.ok()) return fallback.status();
+  return std::vector<Prediction>{*fallback};
 }
 
-void HybridPredictor::PredictTask::MotionFallback() {
-  // No qualified pattern: call the motion function (Algorithm 2 line 6 /
-  // Algorithm 3 line 11).
-  predictor_->counters_.motion_fallbacks.fetch_add(1,
-                                                   std::memory_order_relaxed);
-  StatusOr<Prediction> fallback = predictor_->MotionFunctionPredict(*query_);
-  if (!fallback.ok()) {
-    CompleteWith(fallback.status());
-    return;
+StatusOr<std::vector<Prediction>> HybridPredictor::ForwardProcessing(
+    const PredictiveQuery& query) const {
+  counters_.forward_queries.fetch_add(1, std::memory_order_relaxed);
+  if (const DegradedReason blocked = PatternSideBlocked(query);
+      blocked != DegradedReason::kNone) {
+    return DegradedAnswer(query, blocked);
   }
-  CompleteWith(std::vector<Prediction>{*fallback});
-}
+  PredictScratch local;
+  PredictScratch& s = ScratchFor(query, &local);
 
-bool HybridPredictor::PredictTask::Start(const HybridPredictor& predictor,
-                                         const PredictiveQuery& query,
-                                         PredictScratch* scratch,
-                                         Route route) {
-  predictor_ = &predictor;
-  query_ = &query;
-  scratch_ = scratch;
-  stage_ = Stage::kDone;
-  searching_ = false;
-  round_ = 0;
-
-  const Status valid = ValidateQuery(query);
-  if (!valid.ok()) {
-    CompleteWith(valid);
-    return true;
+  // The query key: the recently visited regions and tq's period offset.
+  // Without one no pattern can qualify.
+  std::vector<int> premise;
+  QueryPremise(query, &premise);
+  if (premise.empty() ||
+      !key_tables_
+           .EncodeQueryInto(premise, query.query_time % regions_.period(),
+                            &s.query_key)
+           .ok()) {
+    return MotionFallback(query);
   }
 
-  if (route == Route::kAuto) {
-    route = query.PredictionLength() >= predictor.options_.distant_threshold
-                ? Route::kBackward
-                : Route::kForward;
-  }
-  if (route == Route::kForward) {
-    predictor.counters_.forward_queries.fetch_add(1,
-                                                  std::memory_order_relaxed);
-  } else {
-    predictor.counters_.backward_queries.fetch_add(1,
-                                                   std::memory_order_relaxed);
-  }
+  TptSearchStats stats;
+  tpt_.SearchInto(s.query_key, SearchMode::kPremiseAndConsequence,
+                  &s.tpt_hits, &stats);
+  if (query.context != nullptr) query.context->AddTptStats(stats);
 
-  // The pattern side is the expensive half; when it cannot be consulted
-  // in time (or at all), serve the cheap RMF answer instead of failing.
-  if (query.deadline.expired()) {
-    CompleteWith(
-        predictor.DegradedAnswer(query, DegradedReason::kDeadlineExceeded));
-    return true;
-  }
-  if (!HPM_FAULT_HIT("core/pattern_lookup").ok()) {
-    CompleteWith(
-        predictor.DegradedAnswer(query, DegradedReason::kPatternUnavailable));
-    return true;
-  }
-
-  period_ = predictor.regions_.period();
-  tq_offset_ = query.query_time % period_;
-  predictor.QueryPremise(query, &premise_);
-
-  if (route == Route::kForward) {
-    if (!premise_.empty() &&
-        predictor.key_tables_
-            .EncodeQueryInto(premise_, tq_offset_, &scratch_->query_key)
-            .ok()) {
-      search_stats_ = TptSearchStats{};
-      cursor_ = predictor.tpt_.StartSearch(
-          scratch_->query_key, SearchMode::kPremiseAndConsequence,
-          &scratch_->tpt_hits, &search_stats_);
-      if (!cursor_.done()) {
-        searching_ = true;
-        stage_ = Stage::kForwardSearch;
-        return false;
-      }
-      FinishForwardSearch();  // Empty tree: the search is already over.
-      return true;
-    }
-    MotionFallback();
-    return true;
-  }
-
-  // Backward Query Processing (Algorithm 3): widen the consequence
-  // interval until a pattern is found or its lower edge reaches the
-  // current time.
-  t_eps_ = std::max<Timestamp>(1, predictor.options_.time_relaxation);
-  const double length = static_cast<double>(query.PredictionLength());
-  premise_penalty_ = std::min(
-      1.0,
-      static_cast<double>(predictor.options_.distant_threshold) / length);
-  RunBackwardRounds();
-  return done();
-}
-
-bool HybridPredictor::PredictTask::Step(size_t max_entry_tests) {
-  if (stage_ == Stage::kDone) return true;
-  if (!cursor_.Step(max_entry_tests)) return false;
-  searching_ = false;
-  if (stage_ == Stage::kForwardSearch) {
-    FinishForwardSearch();
-  } else if (!EndBackwardRound(/*ran_search=*/true)) {
-    RunBackwardRounds();
-  }
-  return done();
-}
-
-StatusOr<std::vector<Prediction>> HybridPredictor::PredictTask::TakeResult() {
-  HPM_CHECK(stage_ == Stage::kDone);
-  return std::move(result_);
-}
-
-void HybridPredictor::PredictTask::FinishForwardSearch() {
-  if (query_->context != nullptr) query_->context->AddTptStats(search_stats_);
-  PredictScratch& s = *scratch_;
-  const FrozenTpt& tpt = predictor_->tpt_;
   s.candidates.clear();
   s.candidates.reserve(s.tpt_hits.size());
   for (const FrozenLeaf* hit : s.tpt_hits) {
     // Equation 2: Sp = Sr * c (premise similarity and confidence are
-    // independent evidences -> compound probability). StartSearch checked
+    // independent evidences -> compound probability). SearchInto checked
     // the query premise width against the arena's.
     const double sr = PremiseSimilarity(
-        tpt.PremiseWords(*hit), s.query_key.premise().words(),
-        tpt.premise_words(), predictor_->options_.weight_function);
-    s.candidates.push_back(PatternCandidate(predictor_->regions_, *hit,
-                                            sr * hit->confidence));
+        tpt_.PremiseWords(*hit), s.query_key.premise().words(),
+        tpt_.premise_words(), options_.weight_function);
+    s.candidates.push_back(
+        PatternCandidate(regions_, *hit, sr * hit->confidence));
   }
-  if (!s.candidates.empty()) {
-    predictor_->counters_.pattern_answers.fetch_add(
-        1, std::memory_order_relaxed);
-    CompleteWith(predictor_->RankAndTake(&s.candidates, query_->k));
-    return;
-  }
-  MotionFallback();
+  if (s.candidates.empty()) return MotionFallback(query);
+  counters_.pattern_answers.fetch_add(1, std::memory_order_relaxed);
+  return RankAndTake(&s.candidates, query.k);
 }
 
-void HybridPredictor::PredictTask::EncodeBackwardRound() {
-  PredictScratch& s = *scratch_;
-  // The round's raw-time interval is [tq - reach, tq + reach]. It is
-  // mapped to period offsets from tq's own offset, so no raw time is ever
-  // formed: tq + reach would overflow for a far-future tq. `reach` itself
-  // stays small, because EndBackwardRound stops widening at the first
-  // round whose interval spans a period.
-  const Timestamp reach = round_ * t_eps_;
-  if (2 * reach >= period_) {
-    predictor_->key_tables_.EncodeQueryIntervalInto(premise_, 0, period_ - 1,
-                                                    &s.query_key);
-    return;
+StatusOr<std::vector<Prediction>> HybridPredictor::BackwardProcessing(
+    const PredictiveQuery& query) const {
+  counters_.backward_queries.fetch_add(1, std::memory_order_relaxed);
+  if (const DegradedReason blocked = PatternSideBlocked(query);
+      blocked != DegradedReason::kNone) {
+    return DegradedAnswer(query, blocked);
   }
-  // The interval may wrap; encode into the lane's key buffers.
-  const Timestamp lo_off = ((tq_offset_ - reach) % period_ + period_) %
-                           period_;
-  const Timestamp hi_off = ((tq_offset_ + reach) % period_ + period_) %
-                           period_;
-  if (lo_off <= hi_off) {
-    predictor_->key_tables_.EncodeQueryIntervalInto(premise_, lo_off, hi_off,
-                                                    &s.query_key);
-  } else {
-    predictor_->key_tables_.EncodeQueryIntervalInto(premise_, lo_off,
-                                                    period_ - 1,
-                                                    &s.query_key);
-    predictor_->key_tables_.EncodeQueryIntervalInto(premise_, 0, hi_off,
-                                                    &s.interval_key);
-    s.query_key.UnionWith(s.interval_key);
-  }
-}
+  PredictScratch local;
+  PredictScratch& s = ScratchFor(query, &local);
 
-void HybridPredictor::PredictTask::RunBackwardRounds() {
-  for (;;) {
-    ++round_;
+  const Timestamp period = regions_.period();
+  const Timestamp tq_offset = query.query_time % period;
+  std::vector<int> premise;
+  QueryPremise(query, &premise);
+  const Timestamp t_eps = std::max<Timestamp>(1, options_.time_relaxation);
+  const double premise_penalty = std::min(
+      1.0, static_cast<double>(options_.distant_threshold) /
+               static_cast<double>(query.PredictionLength()));
+
+  // Widen the consequence interval by t_eps per round until a pattern is
+  // found or its lower edge reaches the current time.
+  for (Timestamp round = 1;; ++round) {
     // Each widening step is another TPT search, so the deadline is
     // re-checked per round.
-    if (round_ > 1 && query_->deadline.expired()) {
-      CompleteWith(predictor_->DegradedAnswer(
-          *query_, DegradedReason::kDeadlineExceeded));
-      return;
+    if (round > 1 && query.deadline.expired()) {
+      return DegradedAnswer(query, DegradedReason::kDeadlineExceeded);
     }
-    EncodeBackwardRound();
-    search_stats_ = TptSearchStats{};
-    bool ran_search = false;
-    if (scratch_->query_key.consequence().Any()) {
-      cursor_ = predictor_->tpt_.StartSearch(scratch_->query_key,
-                                             SearchMode::kConsequenceOnly,
-                                             &scratch_->tpt_hits,
-                                             &search_stats_);
-      if (!cursor_.done()) {
-        searching_ = true;
-        stage_ = Stage::kBackwardSearch;
-        return;  // Yield; Step() finishes the round.
-      }
-      ran_search = true;  // Empty tree: the search is already over.
+    EncodeBackwardInterval(key_tables_, premise, tq_offset, round * t_eps,
+                           period, &s);
+    if (s.query_key.consequence().Any()) {
+      TptSearchStats stats;
+      tpt_.SearchInto(s.query_key, SearchMode::kConsequenceOnly,
+                      &s.tpt_hits, &stats);
+      if (query.context != nullptr) query.context->AddTptStats(stats);
     } else {
-      scratch_->tpt_hits.clear();
+      s.tpt_hits.clear();
     }
-    if (EndBackwardRound(ran_search)) return;
+
+    if (!s.tpt_hits.empty()) {
+      // A consequence-only search never compared premise widths; the
+      // scoring below reads the query's premise words against the
+      // arena's.
+      HPM_CHECK(s.query_key.premise().size() == tpt_.premise_bits());
+      s.candidates.clear();
+      s.candidates.reserve(s.tpt_hits.size());
+      for (const FrozenLeaf* hit : s.tpt_hits) {
+        const int time_id = wordops::HighestSetBit(
+            tpt_.ConsequenceWords(*hit), tpt_.consequence_words());
+        const Timestamp t = key_tables_.OffsetForTimeId(time_id);
+        const double sc = ConsequenceSimilarity(t, tq_offset, t_eps);
+        const double sr = PremiseSimilarity(
+            tpt_.PremiseWords(*hit), s.query_key.premise().words(),
+            tpt_.premise_words(), options_.weight_function);
+        // Equation 5: Sp = (Sr * d / (tq - tc) + Sc) * c — the premise
+        // evidence is penalised as the prediction length grows.
+        s.candidates.push_back(PatternCandidate(
+            regions_, *hit, (sr * premise_penalty + sc) * hit->confidence));
+      }
+      counters_.pattern_answers.fetch_add(1, std::memory_order_relaxed);
+      return RankAndTake(&s.candidates, query.k);
+    }
+
+    // No qualified pattern anywhere before the interval hit the current
+    // time: fall back instead of widening further. Once the interval
+    // spans a whole period, every later round would re-run this same
+    // full-period search, so the answer is already the fallback.
+    if (query.query_time - (round + 1) * t_eps <= query.current_time ||
+        2 * round * t_eps >= period) {
+      return MotionFallback(query);
+    }
   }
 }
 
-bool HybridPredictor::PredictTask::EndBackwardRound(bool ran_search) {
-  if (ran_search && query_->context != nullptr) {
-    query_->context->AddTptStats(search_stats_);
+StatusOr<std::vector<Prediction>> HybridPredictor::Predict(
+    const PredictiveQuery& query) const {
+  HPM_RETURN_IF_ERROR(ValidateQuery(query));
+  if (query.PredictionLength() < options_.distant_threshold) {
+    return ForwardProcessing(query);
   }
-  PredictScratch& s = *scratch_;
-  if (!s.tpt_hits.empty()) {
-    const FrozenTpt& tpt = predictor_->tpt_;
-    // A consequence-only search never compared premise widths; the
-    // scoring below reads the query's premise words against the arena's.
-    HPM_CHECK(s.query_key.premise().size() == tpt.premise_bits());
-    s.candidates.clear();
-    s.candidates.reserve(s.tpt_hits.size());
-    for (const FrozenLeaf* hit : s.tpt_hits) {
-      const int time_id = wordops::HighestSetBit(tpt.ConsequenceWords(*hit),
-                                                 tpt.consequence_words());
-      const Timestamp t = predictor_->key_tables_.OffsetForTimeId(time_id);
-      const double sc = ConsequenceSimilarity(t, tq_offset_, t_eps_);
-      const double sr = PremiseSimilarity(
-          tpt.PremiseWords(*hit), s.query_key.premise().words(),
-          tpt.premise_words(), predictor_->options_.weight_function);
-      // Equation 5: Sp = (Sr * d / (tq - tc) + Sc) * c — the premise
-      // evidence is penalised as the prediction length grows.
-      s.candidates.push_back(
-          PatternCandidate(predictor_->regions_, *hit,
-                           (sr * premise_penalty_ + sc) * hit->confidence));
-    }
-    predictor_->counters_.pattern_answers.fetch_add(
-        1, std::memory_order_relaxed);
-    CompleteWith(predictor_->RankAndTake(&s.candidates, query_->k));
-    return true;
-  }
-
-  // No qualified pattern anywhere before the interval hit the current
-  // time: fall back instead of widening further. Once the interval spans
-  // a whole period, every later round would re-run this same full-period
-  // search, so the answer is already the fallback.
-  if (query_->query_time - (round_ + 1) * t_eps_ <= query_->current_time ||
-      2 * round_ * t_eps_ >= period_) {
-    MotionFallback();
-    return true;
-  }
-  return false;
+  return BackwardProcessing(query);
 }
 
 StatusOr<std::vector<Prediction>> HybridPredictor::ForwardQuery(
     const PredictiveQuery& query) const {
-  return RunToCompletion(*this, query, PredictTask::Route::kForward);
+  HPM_RETURN_IF_ERROR(ValidateQuery(query));
+  return ForwardProcessing(query);
 }
 
 StatusOr<std::vector<Prediction>> HybridPredictor::BackwardQuery(
     const PredictiveQuery& query) const {
-  return RunToCompletion(*this, query, PredictTask::Route::kBackward);
+  HPM_RETURN_IF_ERROR(ValidateQuery(query));
+  return BackwardProcessing(query);
 }
 
 StatusOr<size_t> HybridPredictor::IncorporateNewHistory(
@@ -573,11 +488,6 @@ StatusOr<size_t> HybridPredictor::IncorporateNewHistory(
   (*updated)->counters_ = counters_;
   *this = std::move(**updated);
   return added;
-}
-
-StatusOr<std::vector<Prediction>> HybridPredictor::Predict(
-    const PredictiveQuery& query) const {
-  return RunToCompletion(*this, query, PredictTask::Route::kAuto);
 }
 
 }  // namespace hpm

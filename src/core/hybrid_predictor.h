@@ -1,6 +1,13 @@
 // HybridPredictor: the paper's primary contribution, tying together the
 // discovery pipeline (§IV), the Trajectory Pattern Tree (§V) and the
 // Hybrid Prediction Algorithm with its two query processors (§VI).
+//
+// The processors are straight-line routines, one per algorithm: Forward
+// Query Processing (Algorithm 2) runs one TPT search and scores its
+// hits; Backward Query Processing (Algorithm 3) widens its consequence
+// interval round by round, one search per round. Predict, ForwardQuery
+// and BackwardQuery all run these same two routines, on the serving
+// lane's scratch buffers when the query carries an execution context.
 
 #ifndef HPM_CORE_HYBRID_PREDICTOR_H_
 #define HPM_CORE_HYBRID_PREDICTOR_H_
@@ -19,8 +26,6 @@
 #include "tpt/tpt_tree.h"
 
 namespace hpm {
-
-struct PredictScratch;
 
 /// Everything that configures training and query processing.
 struct HybridPredictorOptions {
@@ -124,88 +129,6 @@ class HybridPredictor {
   /// most k predictions, best first (pattern answers carry scores;
   /// fallback answers are single).
   StatusOr<std::vector<Prediction>> Predict(const PredictiveQuery& query) const;
-
-  /// A resumable Predict(): the preamble, each TPT search and the
-  /// post-search scoring run as explicit stages, so a batch executor can
-  /// interleave many predictions' tree traversals to hide memory stalls.
-  /// Predict/ForwardQuery/BackwardQuery are themselves implemented as
-  /// Start + Step-to-done + TakeResult, which is what makes batched and
-  /// sequential answers (predictions, counters, degraded stamps, search
-  /// stats) bit-identical by construction rather than by test alone.
-  ///
-  /// The task borrows the predictor, the query and the scratch; all
-  /// three must outlive it and stay at stable addresses while it runs
-  /// (the in-flight search cursor points into the scratch's key words).
-  class PredictTask {
-   public:
-    /// Which processor to run; kAuto routes by prediction length exactly
-    /// the way Predict() does.
-    enum class Route { kAuto, kForward, kBackward };
-
-    PredictTask() = default;
-    PredictTask(const PredictTask&) = delete;
-    PredictTask& operator=(const PredictTask&) = delete;
-
-    /// Runs everything up to the start of the first TPT search —
-    /// validation, counters, deadline/fault checks, premise mapping, key
-    /// encoding. Queries that never reach a search (invalid, degraded,
-    /// no premise, empty tree) complete here. Returns done().
-    bool Start(const HybridPredictor& predictor,
-               const PredictiveQuery& query, PredictScratch* scratch,
-               Route route = Route::kAuto);
-
-    bool done() const { return stage_ == Stage::kDone; }
-
-    /// Advances the in-flight search by at most `max_entry_tests`
-    /// signature tests, finishing the query (or starting the next BQP
-    /// widening round) when a search completes. Returns done().
-    bool Step(size_t max_entry_tests);
-
-    /// Warms the next signature block Step would touch (no-op when
-    /// done); the batch executor calls this before switching away.
-    void Prefetch() const { cursor_.Prefetch(); }
-
-    /// The finished answer; valid once done(), consumed by the call.
-    StatusOr<std::vector<Prediction>> TakeResult();
-
-   private:
-    enum class Stage { kDone, kForwardSearch, kBackwardSearch };
-
-    void CompleteWith(StatusOr<std::vector<Prediction>> result);
-    /// The "no qualified pattern" tail shared by both processors.
-    void MotionFallback();
-    void FinishForwardSearch();
-    /// Runs BQP widening rounds until one leaves a search in flight or
-    /// the query completes.
-    void RunBackwardRounds();
-    /// Encodes round `round_`'s consequence interval into the scratch
-    /// key buffers.
-    void EncodeBackwardRound();
-    /// Round tail once its search (if any) finished; returns true when
-    /// the query completed, false to widen again.
-    bool EndBackwardRound(bool ran_search);
-
-    const HybridPredictor* predictor_ = nullptr;
-    const PredictiveQuery* query_ = nullptr;
-    PredictScratch* scratch_ = nullptr;
-    Stage stage_ = Stage::kDone;
-
-    FrozenTpt::SearchCursor cursor_;
-    TptSearchStats search_stats_;
-    /// True when a cursor is actually in flight for the current round
-    /// (a BQP round with an empty consequence key runs no search).
-    bool searching_ = false;
-
-    // BQP widening-loop state, fixed at Start.
-    Timestamp period_ = 0;
-    Timestamp tq_offset_ = 0;
-    Timestamp t_eps_ = 0;
-    Timestamp round_ = 0;
-    double premise_penalty_ = 0.0;
-    std::vector<int> premise_;
-
-    StatusOr<std::vector<Prediction>> result_{std::vector<Prediction>{}};
-  };
 
   /// Forward Query Processing (Algorithm 2), callable directly.
   StatusOr<std::vector<Prediction>> ForwardQuery(
@@ -336,6 +259,30 @@ class HybridPredictor {
   /// refilling `*premise` in place.
   void QueryPremise(const PredictiveQuery& query,
                     std::vector<int>* premise) const;
+
+  /// Forward Query Processing (Algorithm 2) on a validated query: counts
+  /// it, degrades when the pattern side is blocked (expired deadline,
+  /// then pattern-lookup fault), encodes the query key, searches the TPT
+  /// on premise and consequence, and ranks the hits by Equation 2 — or
+  /// falls back to the motion function when no pattern qualifies. Runs
+  /// on the query's lane scratch (function-local without a context).
+  StatusOr<std::vector<Prediction>> ForwardProcessing(
+      const PredictiveQuery& query) const;
+
+  /// Backward Query Processing (Algorithm 3) on a validated query: the
+  /// same counting and degradation gate, then consequence-only TPT
+  /// searches over an interval around tq widened by t_eps per round
+  /// (re-checking the deadline before every round after the first) until
+  /// a hit is ranked by Equation 5, or the interval reaches the current
+  /// time or spans a period and the motion function answers.
+  StatusOr<std::vector<Prediction>> BackwardProcessing(
+      const PredictiveQuery& query) const;
+
+  /// The "no qualified pattern" answer of both processors (Algorithm 2
+  /// line 6, Algorithm 3 line 11): the motion function, counted as a
+  /// motion fallback.
+  StatusOr<std::vector<Prediction>> MotionFallback(
+      const PredictiveQuery& query) const;
 
   /// The graceful-degradation answer: the RMF motion-function prediction
   /// stamped with `reason`, counted as a (degraded) motion fallback.

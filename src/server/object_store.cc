@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <optional>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -721,52 +720,41 @@ CircuitBreaker::State MovingObjectStore::BreakerState(int shard) const {
   return breakers_[static_cast<size_t>(shard)]->state();
 }
 
-std::optional<StatusOr<std::vector<Prediction>>>
-MovingObjectStore::PreparePredict(const ObjectView& view, Timestamp tq,
-                                  int k, QueryContext* ctx, int lane,
-                                  PredictiveQuery* query) const {
-  using Result = StatusOr<std::vector<Prediction>>;
-  if (view.history_size < 2) {
-    return Result(Status::FailedPrecondition(
-        "object has fewer than 2 reported locations"));
-  }
-  if (tq <= view.now) {
-    return Result(Status::InvalidArgument(
-        "query time must be after the object's last report"));
-  }
-  if (ctx != nullptr) ctx->CountObjectEvaluated();
-  query->recent_movements = view.recent;
-  query->current_time = view.now;
-  query->query_time = tq;
-  query->k = k;
-  query->deadline = ctx != nullptr ? ctx->deadline() : Deadline::Infinite();
-  query->context = ctx;
-  query->lane = lane;
-  query->motion = &view.motion;
-
-  if (view.predictor != nullptr) {
-    if (ctx != nullptr && ctx->shed_to_rmf()) {
-      // Rung 1: the pattern side is skipped wholesale; the answer is the
-      // exact RMF prediction, visibly stamped Overloaded.
-      ctx->CountDegradedPrediction();
-      return Result(view.predictor->DegradedPredict(
-          *query, DegradedReason::kOverloaded));
-    }
-    return std::nullopt;  // Pattern path: the caller runs it.
-  }
-  // Cold start: pure motion function until the first training threshold.
-  // This is already the cheapest answer, so overload changes nothing.
-  return Result(std::vector<Prediction>{
-      MotionFunctionAnswer(*query, options_.predictor.rmf)});
-}
-
 StatusOr<std::vector<Prediction>> MovingObjectStore::PredictView(
     const ObjectView& view, Timestamp tq, int k, QueryContext* ctx,
     int lane) const {
+  if (view.history_size < 2) {
+    return Status::FailedPrecondition(
+        "object has fewer than 2 reported locations");
+  }
+  if (tq <= view.now) {
+    return Status::InvalidArgument(
+        "query time must be after the object's last report");
+  }
+  if (ctx != nullptr) ctx->CountObjectEvaluated();
   PredictiveQuery query;
-  if (std::optional<StatusOr<std::vector<Prediction>>> finished =
-          PreparePredict(view, tq, k, ctx, lane, &query)) {
-    return std::move(*finished);
+  query.recent_movements = view.recent;
+  query.current_time = view.now;
+  query.query_time = tq;
+  query.k = k;
+  query.deadline = ctx != nullptr ? ctx->deadline() : Deadline::Infinite();
+  query.context = ctx;
+  query.lane = lane;
+  query.motion = &view.motion;
+
+  if (view.predictor == nullptr) {
+    // Cold start: pure motion function until the first training
+    // threshold. This is already the cheapest answer, so overload
+    // changes nothing.
+    return std::vector<Prediction>{
+        MotionFunctionAnswer(query, options_.predictor.rmf)};
+  }
+  if (ctx != nullptr && ctx->shed_to_rmf()) {
+    // Rung 1: the pattern side is skipped wholesale; the answer is the
+    // exact RMF prediction, visibly stamped Overloaded.
+    ctx->CountDegradedPrediction();
+    return view.predictor->DegradedPredict(query,
+                                           DegradedReason::kOverloaded);
   }
   return view.predictor->Predict(query);
 }
@@ -808,72 +796,41 @@ MovingObjectStore::PredictLocationBatch(const std::vector<ObjectId>& ids,
   pipeline.Plan(1);
   QueryContext& ctx = pipeline.context();
 
-  // Plan: pin the query epoch once, resolve every id to its published
-  // view (raw pointers, valid under the pin for the pipeline's life),
-  // and compute the locality order — by shard, then by model identity,
-  // so consecutive in-flight tasks traverse the same frozen arena.
+  // Plan: pin the query epoch once and resolve every id to its published
+  // view (raw pointers, valid under the pin for the pipeline's life).
   std::vector<const ObjectView*> views(ids.size());
-  std::vector<size_t> order;
   pipeline.RunPlan([&] {
     ctx.AdoptEpochGuard(epoch_->Pin());
-    std::vector<size_t> shard_of(ids.size());
-    std::vector<const void*> model_of(ids.size());
     for (size_t i = 0; i < ids.size(); ++i) {
-      shard_of[i] = ShardIndex(ids[i], shards_.size());
-      views[i] = FindView(*shards_[shard_of[i]], ids[i]);
-      model_of[i] =
-          views[i] != nullptr ? views[i]->predictor.get() : nullptr;
+      views[i] = FindView(ShardFor(ids[i]), ids[i]);
     }
-    order = BatchExecutor::LocalityOrder(shard_of, model_of);
   });
 
-  // Fan the locality-ordered batch out in contiguous chunks; each chunk
-  // runs its share stall-interleaved. Answers land at their input index,
-  // so the output order is untouched by the reordering.
-  std::vector<std::optional<Result>> results(ids.size());
+  // Fan the batch out in contiguous chunks; each lane predicts its items
+  // in input order, exactly as PredictLocation would, and each answer
+  // lands at its input index.
+  std::vector<Result> results(ids.size(), Result(std::vector<Prediction>{}));
   pipeline.FanOutChunks(
-      order.size(), [&](size_t begin, size_t end, size_t lane) {
-        BatchExecutor executor(options_.batch, &ctx);
-        const std::vector<size_t> chunk(order.begin() + begin,
-                                        order.begin() + end);
-        executor.Run(
-            chunk,
-            [&](size_t item, PredictiveQuery* query,
-                PredictScratch* scratch,
-                HybridPredictor::PredictTask* task)
-                -> std::optional<Result> {
-              const ObjectView* view = views[item];
-              if (view == nullptr) {
-                return Result(Status::NotFound("unknown object id"));
-              }
-              if (Status far = CheckHorizon(tq, view->now); !far.ok()) {
-                return Result(far);
-              }
-              if (std::optional<Result> finished = PreparePredict(
-                      *view, tq, k, &ctx, static_cast<int>(lane), query)) {
-                return finished;
-              }
-              task->Start(*view->predictor, *query, scratch);
-              return std::nullopt;
-            },
-            [&](size_t item, Result result) {
-              results[item] = std::move(result);
-            });
+      ids.size(), [&](size_t begin, size_t end, size_t lane) {
+        for (size_t i = begin; i < end; ++i) {
+          const ObjectView* view = views[i];
+          if (view == nullptr) {
+            results[i] = Result(Status::NotFound("unknown object id"));
+          } else if (Status far = CheckHorizon(tq, view->now); !far.ok()) {
+            results[i] = Result(far);
+          } else {
+            results[i] =
+                PredictView(*view, tq, k, &ctx, static_cast<int>(lane));
+          }
+        }
       });
 
-  return pipeline.RunMerge([&] {
-    std::vector<Result> out;
-    out.reserve(ids.size());
-    for (std::optional<Result>& r : results) out.push_back(std::move(*r));
-    return out;
-  });
+  return pipeline.RunMerge([&] { return std::move(results); });
 }
 
-Status MovingObjectStore::RangeQueryShard(int shard_index,
-                                          const BoundingBox& range,
-                                          Timestamp tq, int k_per_object,
-                                          QueryContext& ctx,
-                                          std::vector<RangeHit>* hits) const {
+Status MovingObjectStore::WalkShard(int shard_index, Timestamp tq, int k,
+                                    QueryContext& ctx,
+                                    const ShardVisitor& visit) const {
   // The per-shard kill switch: a -DHPM_ENABLE_FAULTS=ON build can force
   // this shard's share of every fan-out to fail, driving its breaker.
   if (Status injected = HPM_FAULT_HIT(ShardQueryFaultSite(shard_index));
@@ -895,42 +852,11 @@ Status MovingObjectStore::RangeQueryShard(int shard_index,
     // each remaining object's answer degrades to the cheap RMF
     // prediction instead of the shard aborting with partial coverage.
     StatusOr<std::vector<Prediction>> predictions =
-        PredictView(view, tq, k_per_object, &ctx, shard_index);
+        PredictView(view, tq, k, &ctx, shard_index);
     if (!predictions.ok()) {
       return predictions.status();
     }
-    const Prediction* best = nullptr;
-    for (const Prediction& p : *predictions) {
-      if (!range.Contains(p.location)) continue;
-      if (best == nullptr || p.score > best->score) best = &p;
-    }
-    if (best != nullptr) hits->push_back({view.id, *best});
-  }
-  scratch.epoch_guard.Release();
-  return Status::OK();
-}
-
-Status MovingObjectStore::NearestNeighborShard(
-    int shard_index, Timestamp tq, QueryContext& ctx,
-    std::vector<RangeHit>* hits) const {
-  if (Status injected = HPM_FAULT_HIT(ShardQueryFaultSite(shard_index));
-      !injected.ok()) {
-    return injected.Annotate("shard_query");
-  }
-  const Shard& shard = *shards_[static_cast<size_t>(shard_index)];
-  PredictScratch& scratch = ctx.lane(static_cast<size_t>(shard_index));
-  scratch.epoch_guard = epoch_->Pin();
-  const ShardTable* table = shard.table.load(std::memory_order_acquire);
-  for (const ObjectRecord* record : table->records) {
-    const ObjectView& view =
-        *record->view.load(std::memory_order_acquire);
-    if (view.history_size < 2 || tq <= view.now) continue;
-    StatusOr<std::vector<Prediction>> predictions =
-        PredictView(view, tq, 1, &ctx, shard_index);
-    if (!predictions.ok()) {
-      return predictions.status();
-    }
-    hits->push_back({view.id, predictions->front()});
+    visit(view.id, *predictions);
   }
   scratch.epoch_guard.Release();
   return Status::OK();
@@ -955,7 +881,17 @@ StatusOr<FleetQueryResult> MovingObjectStore::PredictiveRangeQuery(
   FleetQueryResult result = pipeline.FanOut(
       [this, &range, tq, k_per_object, &ctx](int shard,
                                              std::vector<RangeHit>* hits) {
-        return RangeQueryShard(shard, range, tq, k_per_object, ctx, hits);
+        return WalkShard(
+            shard, tq, k_per_object, ctx,
+            [&range, hits](ObjectId id,
+                           const std::vector<Prediction>& predictions) {
+              const Prediction* best = nullptr;
+              for (const Prediction& p : predictions) {
+                if (!range.Contains(p.location)) continue;
+                if (best == nullptr || p.score > best->score) best = &p;
+              }
+              if (best != nullptr) hits->push_back({id, *best});
+            });
       });
   pipeline.MergeRank(&result, [](const RangeHit& a, const RangeHit& b) {
     if (a.prediction.score != b.prediction.score) {
@@ -980,7 +916,11 @@ StatusOr<FleetQueryResult> MovingObjectStore::PredictiveNearestNeighbors(
 
   FleetQueryResult result = pipeline.FanOut(
       [this, tq, &ctx](int shard, std::vector<RangeHit>* hits) {
-        return NearestNeighborShard(shard, tq, ctx, hits);
+        return WalkShard(
+            shard, tq, /*k=*/1, ctx,
+            [hits](ObjectId id, const std::vector<Prediction>& predictions) {
+              hits->push_back({id, predictions.front()});
+            });
       });
   pipeline.MergeRank(
       &result,

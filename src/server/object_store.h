@@ -22,8 +22,8 @@
 // tables/views with release stores and Retire() the old ones through
 // the EpochManager, which frees them only after every reader pinned at
 // or before the retirement has unpinned. Fleet queries fan out across
-// shards on an internal thread pool; batches execute stall-interleaved
-// (server/batch_executor.h). Every public member is safe to call
+// shards on an internal thread pool, and batches fan out in contiguous
+// chunks on the same pool. Every public member is safe to call
 // concurrently from any number of threads, except move
 // construction/assignment and SaveToDirectory/LoadFromDirectory's
 // returned store before it is published to other threads.
@@ -38,7 +38,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,7 +53,6 @@
 #include "io/wal.h"
 #include "mining/incremental_miner.h"
 #include "motion/rmf_memo.h"
-#include "server/batch_executor.h"
 #include "server/query_pipeline.h"
 #include "server/rebuild_scheduler.h"
 #include "server/store_types.h"
@@ -161,11 +159,6 @@ struct ObjectStoreOptions {
   /// writer lock and published table, so independent shards ingest fully
   /// concurrently (reads never contend regardless). Must be >= 1.
   int num_shards = 8;
-
-  /// Stall-interleaved batch execution (PredictLocationBatch): how many
-  /// predictions each fan-out lane keeps in flight and the traversal
-  /// budget per step. width = 1 runs the batch strictly sequentially.
-  BatchExecOptions batch;
 
   /// Worker threads for fleet-query fan-out (range / kNN / batch).
   /// 0 = ThreadPool::DefaultThreadCount(). With 1, fan-out runs inline
@@ -308,11 +301,11 @@ class MovingObjectStore {
       Deadline deadline = Deadline::Infinite()) const;
 
   /// Amortised multi-object point prediction: one result per input id,
-  /// in input order. Snapshots are taken with one lock acquisition per
-  /// shard and the per-object prediction work fans out on the thread
-  /// pool. `nullopt`-free: every slot holds the same StatusOr that
-  /// PredictLocation(ids[i], tq, k) would have returned at snapshot
-  /// time.
+  /// in input order. Every id resolves to its published view under one
+  /// epoch pin, and the per-object prediction work fans out on the
+  /// thread pool in contiguous chunks of the input, each chunk predicting
+  /// its items in input order. Every slot holds the same StatusOr that
+  /// PredictLocation(ids[i], tq, k) would have returned at that time.
   std::vector<StatusOr<std::vector<Prediction>>> PredictLocationBatch(
       const std::vector<ObjectId>& ids, Timestamp tq, int k = 1,
       Deadline deadline = Deadline::Infinite()) const;
@@ -597,26 +590,16 @@ class MovingObjectStore {
   const ObjectView* FindView(const Shard& shard, ObjectId id) const;
 
   /// Predicts against a published view; the caller holds an epoch pin,
-  /// no locks. Mirrors the pre-shard PredictForState semantics exactly.
-  /// The execution context (may be null for context-free callers —
-  /// continuous queries) supplies the deadline, the rung-1 shed verdict
-  /// (a trained object's answer is then the RMF motion function stamped
-  /// DegradedReason::kOverloaded), scratch lane `lane`, and per-query
-  /// accounting.
+  /// no locks. The one per-object predict path of every read entry
+  /// point. The execution context (may be null for context-free callers
+  /// — continuous queries) supplies the deadline, the rung-1 shed
+  /// verdict (a trained object's answer is then the RMF motion function
+  /// stamped DegradedReason::kOverloaded), scratch lane `lane`, and
+  /// per-query accounting.
   StatusOr<std::vector<Prediction>> PredictView(const ObjectView& view,
                                                 Timestamp tq, int k,
                                                 QueryContext* ctx,
                                                 int lane) const;
-
-  /// The shared front half of PredictView and the batched path:
-  /// validation, accounting, query assembly, and the shed / cold-start
-  /// answers. Returns the finished result for queries that never reach
-  /// the pattern side; otherwise fills `*query` and returns nullopt —
-  /// the caller runs `view.predictor->Predict(*query)` (sequential) or
-  /// a PredictTask (batched), which are the same computation.
-  std::optional<StatusOr<std::vector<Prediction>>> PreparePredict(
-      const ObjectView& view, Timestamp tq, int k, QueryContext* ctx,
-      int lane, PredictiveQuery* query) const;
 
   /// Shared ReportLocation/ReportLocationAt back half, one pipeline
   /// instantiation: validates the sample (including `*expected_t`'s
@@ -708,17 +691,19 @@ class MovingObjectStore {
   /// store is still movable until it starts ingesting).
   RebuildScheduler* EnsureScheduler();
 
-  /// One shard's share of PredictiveRangeQuery / NearestNeighbors,
-  /// running as a fan-out lane of `ctx`: pin the epoch in the lane's
-  /// scratch guard, walk the shard's published table and predict against
-  /// each eligible view in place — no lock, no copies. `shard_index`
-  /// names the per-shard fault site and the scratch lane.
-  Status RangeQueryShard(int shard_index, const BoundingBox& range,
-                         Timestamp tq, int k_per_object, QueryContext& ctx,
-                         std::vector<RangeHit>* hits) const;
-  Status NearestNeighborShard(int shard_index, Timestamp tq,
-                              QueryContext& ctx,
-                              std::vector<RangeHit>* hits) const;
+  /// Receives one object's top-k answer during a shard walk.
+  using ShardVisitor =
+      std::function<void(ObjectId id, const std::vector<Prediction>&)>;
+
+  /// One shard's share of a fleet query (range, kNN), running as a
+  /// fan-out lane of `ctx`: pins the epoch in the lane's scratch guard,
+  /// walks the shard's published table and predicts the top `k` against
+  /// each view that can answer at `tq` (two or more reports, tq after
+  /// the last) in place — no lock, no copies — handing each answer to
+  /// `visit`. `shard_index` names the per-shard fault site and the
+  /// scratch lane. A failed prediction ends the walk with its status.
+  Status WalkShard(int shard_index, Timestamp tq, int k, QueryContext& ctx,
+                   const ShardVisitor& visit) const;
 
   /// The borrowed-subsystem environment every pipeline instantiation
   /// receives.

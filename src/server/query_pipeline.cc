@@ -46,7 +46,6 @@ StoreMetrics::StoreMetrics(MetricsRegistry* registry) {
   objects_evaluated = registry->GetCounter("store.objects_evaluated");
   motion_fits = registry->GetCounter("store.motion_fits");
   motion_fits_computed = registry->GetCounter("store.motion_fits_computed");
-  batch_interleaved = registry->GetCounter("batch.interleaved");
   epoch_pinned = registry->GetCounter("epoch.pinned");
   epoch_retired = registry->GetCounter("epoch.retired");
   epoch_freed = registry->GetCounter("epoch.freed");
@@ -256,7 +255,6 @@ void QueryPipeline::Account() {
     m->objects_evaluated->Increment(totals.objects_evaluated);
     m->motion_fits->Increment(totals.motion_fits);
     m->motion_fits_computed->Increment(totals.motion_fits_computed);
-    m->batch_interleaved->Increment(totals.batch_interleaved);
     m->tpt_nodes_visited->Increment(totals.tpt_nodes_visited);
     m->tpt_entries_tested->Increment(totals.tpt_entries_tested);
     m->tpt_blocks_scanned->Increment(totals.tpt_blocks_scanned);
@@ -274,9 +272,6 @@ void QueryPipeline::Account() {
     trace.AddCounter("shards_skipped", totals.shards_skipped);
     trace.AddCounter("motion_fits", totals.motion_fits);
     trace.AddCounter("motion_fits_computed", totals.motion_fits_computed);
-    if (totals.batch_interleaved > 0) {
-      trace.AddCounter("batch_interleaved", totals.batch_interleaved);
-    }
     trace.AddCounter("tpt_nodes_visited", totals.tpt_nodes_visited);
     trace.AddCounter("tpt_entries_tested", totals.tpt_entries_tested);
     trace.AddCounter("tpt_blocks_scanned", totals.tpt_blocks_scanned);

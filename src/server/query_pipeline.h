@@ -82,9 +82,6 @@ struct StoreMetrics {
   Counter* objects_evaluated;
   Counter* motion_fits;
   Counter* motion_fits_computed;
-  /// Batch-executor stall interleaves: times it switched away from a
-  /// yielded traversal to advance another query's.
-  Counter* batch_interleaved;
   /// Epoch-reclamation lifecycle (wired straight into the store's
   /// EpochManager, which increments them itself).
   Counter* epoch_pinned;

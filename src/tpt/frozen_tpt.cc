@@ -1,5 +1,6 @@
 #include "tpt/frozen_tpt.h"
 
+#include <array>
 #include <cstdlib>
 #include <cstring>
 
@@ -22,7 +23,7 @@ constexpr uint32_t kMaxKeyBits = 1u << 22;
 
 /// Uniform leaf depth in a sane tree is logarithmic in pattern count; a
 /// parsed topology deeper than this is corrupt (and would otherwise
-/// overflow SearchCursor's fixed frame stack).
+/// overflow SearchInto's fixed frame stack).
 constexpr int kMaxHeight = FrozenTpt::kMaxDepth;
 
 size_t WordsForBits(size_t bits) { return (bits + 63) / 64; }
@@ -134,96 +135,63 @@ FrozenTpt FrozenTpt::Freeze(const TptTree& tree) {
   return frozen;
 }
 
-bool FrozenTpt::SearchCursor::Step(size_t max_entry_tests) {
-  size_t budget = max_entry_tests;
-  while (depth_ > 0 && budget > 0) {
-    Frame& frame = frames_[depth_ - 1];
-    const NodeRef node = tree_->nodes_[frame.node];
+void FrozenTpt::SearchInto(const PatternKey& query, SearchMode mode,
+                           std::vector<const FrozenLeaf*>* out,
+                           TptSearchStats* stats) const {
+  out->clear();
+  if (patterns_.empty()) return;
+  HPM_CHECK(query.consequence().size() == consequence_bits_);
+  if (mode == SearchMode::kPremiseAndConsequence) {
+    HPM_CHECK(query.premise().size() == premise_bits_);
+  }
+  const uint64_t* query_consequence = query.consequence().words();
+  const uint64_t* query_premise = query.premise().words();
+  const size_t stride = Stride();
+
+  // Explicit DFS stack of (node, next entry) frames; Parse bounds the
+  // depth by kMaxDepth, so the fixed array never overflows.
+  struct Frame {
+    uint32_t node;
+    uint32_t entry;
+  };
+  std::array<Frame, kMaxDepth> frames;
+  int depth = 0;
+  frames[depth++] = Frame{0, 0};
+  if (stats != nullptr) ++stats->nodes_visited;
+  while (depth > 0) {
+    Frame& frame = frames[depth - 1];
+    const NodeRef node = nodes_[frame.node];
     if (frame.entry == node.num_entries) {
-      --depth_;  // This subtree is exhausted; resume in the parent.
+      --depth;  // This subtree is exhausted; resume in the parent.
       continue;
     }
     const uint32_t i = frame.entry++;
-    const size_t stride = tree_->Stride();
-    const uint64_t* block =
-        tree_->key_words_.data() + (node.first_entry + i) * stride;
+    const uint64_t* block = key_words_.data() + (node.first_entry + i) * stride;
     if (i + 1 < node.num_entries) {
       __builtin_prefetch(block + stride);
     }
-    if (stats_ != nullptr) ++stats_->entries_tested;
-    --budget;
+    if (stats != nullptr) ++stats->entries_tested;
     // Consequence part first (both modes prune on it), premise part only
     // when FQP still needs it — same short-circuit order as
     // PatternKey::Intersects, so entries_tested/pruning match the
     // mutable tree exactly.
     bool match =
-        wordops::AnyCommon(block, query_consequence_,
-                           tree_->consequence_words_);
-    if (stats_ != nullptr) ++stats_->blocks_scanned;
-    if (match && mode_ == SearchMode::kPremiseAndConsequence) {
-      match = wordops::AnyCommon(block + tree_->consequence_words_,
-                                 query_premise_, tree_->premise_words_);
-      if (stats_ != nullptr) ++stats_->blocks_scanned;
+        wordops::AnyCommon(block, query_consequence, consequence_words_);
+    if (stats != nullptr) ++stats->blocks_scanned;
+    if (match && mode == SearchMode::kPremiseAndConsequence) {
+      match = wordops::AnyCommon(block + consequence_words_, query_premise,
+                                 premise_words_);
+      if (stats != nullptr) ++stats->blocks_scanned;
     }
     if (!match) continue;
-    const uint32_t target = tree_->entry_target_[node.first_entry + i];
+    const uint32_t target = entry_target_[node.first_entry + i];
     if (node.is_leaf != 0) {
-      out_->push_back(&tree_->patterns_[target]);
+      out->push_back(&patterns_[target]);
     } else {
-      HPM_CHECK(depth_ < kMaxDepth);
-      frames_[depth_++] = Frame{target, 0};
-      if (stats_ != nullptr) ++stats_->nodes_visited;
+      HPM_CHECK(depth < kMaxDepth);
+      frames[depth++] = Frame{target, 0};
+      if (stats != nullptr) ++stats->nodes_visited;
     }
-  }
-  return depth_ == 0;
-}
-
-void FrozenTpt::SearchCursor::Prefetch() const {
-  // Walk up from the current frame to the first node with an untested
-  // entry — that entry's block is the next one Step will touch.
-  for (int d = depth_; d > 0; --d) {
-    const Frame& frame = frames_[d - 1];
-    const NodeRef node = tree_->nodes_[frame.node];
-    if (frame.entry == node.num_entries) continue;
-    __builtin_prefetch(tree_->key_words_.data() +
-                       (node.first_entry + frame.entry) * tree_->Stride());
-    return;
-  }
-}
-
-FrozenTpt::SearchCursor FrozenTpt::StartSearch(
-    const PatternKey& query, SearchMode mode,
-    std::vector<const FrozenLeaf*>* out, TptSearchStats* stats) const {
-  out->clear();
-  SearchCursor cursor;
-  if (patterns_.empty()) return cursor;
-  HPM_CHECK(query.consequence().size() == consequence_bits_);
-  if (mode == SearchMode::kPremiseAndConsequence) {
-    HPM_CHECK(query.premise().size() == premise_bits_);
-  }
-  cursor.tree_ = this;
-  cursor.query_consequence_ = query.consequence().words();
-  cursor.query_premise_ = query.premise().words();
-  cursor.mode_ = mode;
-  cursor.out_ = out;
-  cursor.stats_ = stats;
-  cursor.frames_[cursor.depth_++] = SearchCursor::Frame{0, 0};
-  if (stats != nullptr) ++stats->nodes_visited;
-  return cursor;
-}
-
-std::vector<const FrozenLeaf*> FrozenTpt::Search(
-    const PatternKey& query, SearchMode mode, TptSearchStats* stats) const {
-  std::vector<const FrozenLeaf*> out;
-  SearchInto(query, mode, &out, stats);
-  return out;
-}
-
-void FrozenTpt::SearchInto(const PatternKey& query, SearchMode mode,
-                           std::vector<const FrozenLeaf*>* out,
-                           TptSearchStats* stats) const {
-  SearchCursor cursor = StartSearch(query, mode, out, stats);
-  while (!cursor.Step(SIZE_MAX)) {
   }
 }
 

@@ -18,9 +18,9 @@
 //                 of any key, leaf keys included.
 //   patterns_     lean leaf payloads (FrozenLeaf: confidence,
 //                 consequence region, pattern id, arena entry index) in
-//                 leaf-entry order — Search returns pointers into this
-//                 array, and a hit's key words are read back from the
-//                 arena through its entry index
+//                 leaf-entry order — SearchInto returns pointers into
+//                 this array, and a hit's key words are read back from
+//                 the arena through its entry index
 //
 // so a node's entries are one contiguous block run and the
 // Intersect/Contain hot loop is a branch-light word-wise AND+popcount
@@ -30,10 +30,11 @@
 // just scanned, so still in cache — through PremiseWords /
 // ConsequenceWords; no PatternKey is ever materialised for a hit.
 //
-// Search visits nodes, tests entries, and emits hits in exactly the
-// mutable tree's order; prop_tpt_frozen_test proves the results (ids,
-// confidences, keys, order) and the TptSearchStats pruning counters
-// bit-identical on randomized pattern sets in both SearchModes.
+// SearchInto is one iterative depth-first loop over an explicit
+// kMaxDepth-frame stack: it visits nodes, tests entries, and emits hits
+// in exactly the mutable tree's order; prop_tpt_frozen_test proves the
+// results (ids, confidences, keys, order) and the TptSearchStats pruning
+// counters bit-identical on randomized pattern sets in both SearchModes.
 //
 // The arena has a compact wire form (AppendTo/Parse, CRC-footed, encoded
 // with common/codec.h) so a persisted model reloads by validating bytes
@@ -42,7 +43,6 @@
 #ifndef HPM_TPT_FROZEN_TPT_H_
 #define HPM_TPT_FROZEN_TPT_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -117,75 +117,19 @@ class FrozenTpt {
   /// read; the frozen copy shares nothing with it.
   static FrozenTpt Freeze(const TptTree& tree);
 
-  /// Depth bound: Parse rejects deeper topologies and SearchCursor's
+  /// Depth bound: Parse rejects deeper topologies and SearchInto's
   /// fixed frame stack assumes it (a sane tree is logarithmic — 64
   /// levels would need ~2^64 patterns).
   static constexpr int kMaxDepth = 64;
 
-  /// All leaf entries matching `query` under `mode`, in the mutable
-  /// tree's traversal order. Pointers remain valid for the lifetime of
-  /// this FrozenTpt.
-  std::vector<const FrozenLeaf*> Search(
-      const PatternKey& query, SearchMode mode,
-      TptSearchStats* stats = nullptr) const;
-
-  /// Search writing into a caller-owned vector (cleared first); `stats`,
-  /// when given, accumulates — the same contract as TptTree::SearchInto.
+  /// All leaf entries matching `query` under `mode`, written into a
+  /// caller-owned vector (cleared first) in the mutable tree's traversal
+  /// order. Pointers remain valid for the lifetime of this FrozenTpt.
+  /// `stats`, when given, accumulates — the same contract as
+  /// TptTree::SearchInto.
   void SearchInto(const PatternKey& query, SearchMode mode,
                   std::vector<const FrozenLeaf*>* out,
                   TptSearchStats* stats = nullptr) const;
-
-  /// A paused depth-first traversal that can be advanced a few entry
-  /// tests at a time. SearchInto is exactly StartSearch + Step-to-done,
-  /// so interleaved (batched) and sequential execution produce
-  /// bit-identical hits, hit order and TptSearchStats by construction —
-  /// the cursor IS the search, not a second implementation of it.
-  ///
-  /// Lifetime: the cursor borrows the tree, the query key's word arrays,
-  /// `out` and `stats`; all four must outlive it. A default-constructed
-  /// cursor is done.
-  class SearchCursor {
-   public:
-    SearchCursor() = default;
-
-    bool done() const { return depth_ == 0; }
-
-    /// Runs at most `max_entry_tests` entry tests (descents and frame
-    /// pops are free — the budget meters signature-block work, the part
-    /// worth interleaving). Returns done().
-    bool Step(size_t max_entry_tests);
-
-    /// Issues a prefetch for the next signature block Step would test,
-    /// so a batch executor can warm it before switching to another
-    /// query. No effect on results or stats; no-op when done.
-    void Prefetch() const;
-
-   private:
-    friend class FrozenTpt;
-
-    struct Frame {
-      uint32_t node = 0;
-      uint32_t entry = 0;
-    };
-
-    const FrozenTpt* tree_ = nullptr;
-    const uint64_t* query_consequence_ = nullptr;
-    const uint64_t* query_premise_ = nullptr;
-    SearchMode mode_ = SearchMode::kPremiseAndConsequence;
-    std::vector<const FrozenLeaf*>* out_ = nullptr;
-    TptSearchStats* stats_ = nullptr;
-    /// frames_[0..depth_) is the DFS stack; depth_ == 0 means done.
-    std::array<Frame, kMaxDepth> frames_;
-    int depth_ = 0;
-  };
-
-  /// Begins a resumable search: clears `out`, validates the query key
-  /// widths, and (for a non-empty tree) visits the root. Drive the
-  /// returned cursor with Step() until done; hits land in `out` in the
-  /// same order SearchInto emits them.
-  SearchCursor StartSearch(const PatternKey& query, SearchMode mode,
-                           std::vector<const FrozenLeaf*>* out,
-                           TptSearchStats* stats = nullptr) const;
 
   /// Number of indexed patterns.
   size_t size() const { return patterns_.size(); }

@@ -332,11 +332,13 @@ std::string CheckSection(const char* data, size_t size, Damage damage) {
   for (size_t i = 0; i < parsed->consequence_bits(); ++i) {
     everything.mutable_consequence().Set(i);
   }
+  std::vector<const FrozenLeaf*> hits;
   for (const SearchMode mode : {SearchMode::kPremiseAndConsequence,
                                 SearchMode::kConsequenceOnly}) {
     // Resealed damage can zero a key, so only the bound is checked; the
     // point is that the walk stays inside the parsed arena.
-    if (parsed->Search(everything, mode).size() > parsed->size()) {
+    parsed->SearchInto(everything, mode, &hits);
+    if (hits.size() > parsed->size()) {
       return std::string("a search returned more hits than patterns");
     }
   }

@@ -58,8 +58,8 @@ std::string CompareSearch(const TptTree& tree, const FrozenTpt& frozen,
   TptSearchStats tree_stats, frozen_stats;
   const std::vector<const IndexedPattern*> tree_hits =
       tree.Search(query, mode, &tree_stats);
-  const std::vector<const FrozenLeaf*> frozen_hits =
-      frozen.Search(query, mode, &frozen_stats);
+  std::vector<const FrozenLeaf*> frozen_hits;
+  frozen.SearchInto(query, mode, &frozen_hits, &frozen_stats);
 
   const std::string what = label + " " + ModeName(mode) + " search ";
   if (tree_hits.size() != frozen_hits.size()) {

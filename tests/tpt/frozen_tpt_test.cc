@@ -115,7 +115,9 @@ TEST(FrozenTptTest, EmptyTreeFreezesAndRoundTripsEmpty) {
   PatternKey q(8, 2);
   q.mutable_premise().Set(0);
   q.mutable_consequence().Set(0);
-  EXPECT_TRUE(frozen.Search(q, SearchMode::kPremiseAndConsequence).empty());
+  std::vector<const FrozenLeaf*> hits;
+  frozen.SearchInto(q, SearchMode::kPremiseAndConsequence, &hits);
+  EXPECT_TRUE(hits.empty());
 
   const std::string wire = Wire(frozen);
   size_t consumed = 0;
